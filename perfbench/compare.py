@@ -1,13 +1,22 @@
 #!/usr/bin/env python3
 """Collect benchmark runs and compare two commits' runs.
 
-Collect runs of one checkout (each run's result line, one JSON per line):
+Collect runs of two checkouts -- say the parent commit's and a change's --
+with the same seeds, one JSON result line per run into each side's file:
 
-    python3 perfbench/compare.py collect --out base.jsonl --seeds 1-10 \
-        [--workloads serve_mixed,append_mixed] [--checkout DIR]
+    python3 perfbench/compare.py collect --seeds 1-10 \
+        base.jsonl=../base change.jsonl=. [--workloads serve_mixed,append_mixed]
 
-Compare two collections -- say the parent commit's and a change's, made
-with the same benchmark and the same seeds:
+For each seed and workload the two sides run back to back, in turns:
+base then change for the first seed, change then base for the next, and
+so on. The host's speed drifts over the minutes a collection takes; run
+in turns, both sides see the same drift, and a pair of runs of one seed
+is a fair match. This is the only way the benchmark compares commits:
+two collections made one after the other would put that drift into the
+difference. Given one OUT=CHECKOUT, collect runs that checkout alone (for
+`spread`).
+
+Compare the two collections:
 
     python3 perfbench/compare.py compare base.jsonl change.jsonl
 
@@ -52,30 +61,49 @@ def parse_seeds(text):
     return seeds
 
 
+def run_once(root, spec, workload, seed):
+    cmd = spec["command"] + [
+        "--workload", workload, "--seed", str(seed),
+        "--seconds", str(spec["run_seconds"]), "--trace", "0"]
+    done = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, text=True,
+                          check=False)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        sys.exit(f"{root}: {workload} seed {seed}: exit {done.returncode}")
+    return json.loads(lines[-1])
+
+
 def collect(args):
-    root = Path(args.checkout).resolve()
-    spec = load_spec(root)
+    sides = []
+    for item in args.sides:
+        out, _, checkout = item.partition("=")
+        root = Path(checkout or ".").resolve()
+        sides.append((out, root, load_spec(root)))
+    if not 1 <= len(sides) <= 2:
+        sys.exit("collect takes one or two OUT=CHECKOUT")
+    spec = sides[0][2]
     workloads = (args.workloads.split(",") if args.workloads else
                  [w["name"] for w in spec["workloads"]])
-    with open(args.out, "a") as out:
-        for seed in parse_seeds(args.seeds):
+    files = [open(out, "a") for out, _, _ in sides]
+    try:
+        for turn, seed in enumerate(parse_seeds(args.seeds)):
+            order = list(range(len(sides)))
+            if turn % 2:
+                order.reverse()
             for workload in workloads:
-                cmd = spec["command"] + [
-                    "--workload", workload, "--seed", str(seed),
-                    "--seconds", str(spec["run_seconds"]),
-                    "--trace", str(args.trace)]
-                done = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE,
-                                      text=True, check=False)
-                lines = done.stdout.strip().splitlines()
-                if done.returncode != 0 or not lines:
-                    sys.exit(f"{workload} seed {seed}: exit {done.returncode}")
-                result = json.loads(lines[-1])
-                record = {"workload": workload, "seed": seed, **result}
-                out.write(json.dumps(record) + "\n")
-                out.flush()
-                print(f"{workload} seed {seed}: correct={result['correct']} "
-                      f"failed={result['failed']}/{result['attempted']}",
-                      file=sys.stderr)
+                for i in order:
+                    out, root, side_spec = sides[i]
+                    result = run_once(root, side_spec, workload, seed)
+                    record = {"workload": workload, "seed": seed, **result}
+                    files[i].write(json.dumps(record) + "\n")
+                    files[i].flush()
+                    print(f"{out}: {workload} seed {seed}: "
+                          f"correct={result['correct']} "
+                          f"failed={result['failed']}/{result['attempted']}",
+                          file=sys.stderr)
+    finally:
+        for f in files:
+            f.close()
 
 
 def load_runs(path):
@@ -173,11 +201,10 @@ def main():
         epilog=__doc__.split("\n", 1)[1])
     sub = parser.add_subparsers(dest="cmd", required=True)
     c = sub.add_parser("collect")
-    c.add_argument("--out", required=True)
+    c.add_argument("sides", nargs="+", metavar="OUT=CHECKOUT",
+                   help="result file and the checkout to run, once or twice")
     c.add_argument("--seeds", required=True, help="e.g. 1-10 or 3,5,7")
     c.add_argument("--workloads", default="")
-    c.add_argument("--trace", type=int, default=0)
-    c.add_argument("--checkout", default=str(BENCH_DIR.parent))
     c.set_defaults(func=collect)
     s = sub.add_parser("spread")
     s.add_argument("runs")

@@ -13,11 +13,15 @@
 namespace perfbench {
 
 /// Flags of one subcommand: --name value pairs plus bare --name switches.
+/// Every flag a subcommand reads is required; run.py passes each one, so
+/// the driver has no defaults of its own that could differ from the
+/// benchmark's.
 class Flags {
  public:
   static pcbl::Result<Flags> Parse(int argc, char** argv);
-  std::string Get(const std::string& name, const std::string& fallback = "") const;
-  int64_t GetInt(const std::string& name, int64_t fallback) const;
+  /// The flag's value; exits with a usage error when it is missing.
+  std::string Get(const std::string& name) const;
+  int64_t GetInt(const std::string& name) const;
   /// Every value given for a repeatable flag, in order.
   std::vector<std::string> GetAll(const std::string& name) const;
 
@@ -26,26 +30,21 @@ class Flags {
 };
 
 /// What a subcommand prints as its one JSON line: whether every output
-/// checked out, the operations attempted and failed, and named figures.
+/// checked out, the operations attempted and failed, named figures, and
+/// named lists of raw samples (run.py takes their medians and tails).
 struct Report {
   bool correct = true;
   int64_t attempted = 0;
   int64_t failed = 0;
   std::vector<std::string> errors;
   std::map<std::string, double> values;
+  std::map<std::string, std::vector<double>> samples;
   std::map<std::string, std::string> facts;
 
   /// Records a failed correctness check.
   void Mismatch(const std::string& what);
   std::string ToJson() const;
 };
-
-/// Median of `samples` (0 when empty).
-double Median(std::vector<double> samples);
-/// The highest percentile with at least ten samples above it: the
-/// sample with exactly ten larger ones. Sets *percentile to its rank.
-/// Falls back to the largest sample when there are fewer than 40.
-double Tail(std::vector<double> samples, double* percentile);
 
 /// The generated datasets, by name ("bluenile" or "compas").
 pcbl::Result<pcbl::Table> MakeDataset(const std::string& name, int64_t rows,
@@ -54,8 +53,11 @@ pcbl::Result<pcbl::Table> MakeDataset(const std::string& name, int64_t rows,
 double FileMb(const std::string& path);
 /// Peak resident set of this process, in MB (VmHWM).
 double PeakRssMb();
-/// nproc, the CPU model and the sizing kernel the program dispatches to.
-void AddMachineFacts(Report* report);
+/// Current resident set of this process, in MB (VmRSS).
+double RssMb();
+/// The sizing kernel the program dispatches to (run.py prints it next to
+/// the machine facts it gathers itself).
+void AddKernelIsa(Report* report);
 
 int CmdGen(const Flags& flags);
 int CmdCheckBuild(const Flags& flags);

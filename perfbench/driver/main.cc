@@ -4,19 +4,21 @@
 //   perfbench_driver check-build --csv F --bound B --label L:MAXABS:P:TOL ...
 //   perfbench_driver trace-build --csv F --bound B --threads T --out L
 //                                --trace-out SPANS.json
-//   perfbench_driver serve  --seed S --requests N --trace 0|1 [...]
-//   perfbench_driver append --seed S --rounds N --trace 0|1 [...]
+//   perfbench_driver serve  --seed S --requests N --setups K --trace 0|1
+//                           --bluenile-rows N --compas-rows N
+//                           --socket PATH --work DIR [--trace-out SPANS.json]
+//   perfbench_driver append --seed S --rows N --rounds N --setups K
+//                           --trace 0|1 [--trace-out SPANS.json]
 //   perfbench_driver selftest
 //
 // Each subcommand prints one JSON object as its last stdout line; run.py
 // turns those into the benchmark's result line.
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 
 #include "driver.h"
 #include "pattern/kernel_dispatch.h"
@@ -41,15 +43,17 @@ pcbl::Result<Flags> Flags::Parse(int argc, char** argv) {
   return flags;
 }
 
-std::string Flags::Get(const std::string& name,
-                       const std::string& fallback) const {
+std::string Flags::Get(const std::string& name) const {
   auto it = values_.find(name);
-  return it == values_.end() ? fallback : it->second;
+  if (it == values_.end()) {
+    std::fprintf(stderr, "missing flag --%s\n", name.c_str());
+    std::exit(2);
+  }
+  return it->second;
 }
 
-int64_t Flags::GetInt(const std::string& name, int64_t fallback) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::stoll(it->second);
+int64_t Flags::GetInt(const std::string& name) const {
+  return std::stoll(Get(name));
 }
 
 std::vector<std::string> Flags::GetAll(const std::string& name) const {
@@ -99,6 +103,16 @@ std::string Report::ToJson() const {
         << (std::isfinite(value) ? value : 0.0);
     first = false;
   }
+  out << "}, \"samples\": {";
+  first = true;
+  for (const auto& [name, list] : samples) {
+    out << (first ? "" : ", ") << JsonString(name) << ": [";
+    for (size_t i = 0; i < list.size(); ++i) {
+      out << (i ? ", " : "") << (std::isfinite(list[i]) ? list[i] : 0.0);
+    }
+    out << "]";
+    first = false;
+  }
   out << "}, \"facts\": {";
   first = true;
   for (const auto& [name, value] : facts) {
@@ -107,28 +121,6 @@ std::string Report::ToJson() const {
   }
   out << "}}";
   return out.str();
-}
-
-double Median(std::vector<double> samples) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const size_t n = samples.size();
-  return n % 2 ? samples[n / 2] : 0.5 * (samples[n / 2 - 1] + samples[n / 2]);
-}
-
-double Tail(std::vector<double> samples, double* percentile) {
-  if (samples.empty()) {
-    *percentile = 0.0;
-    return 0.0;
-  }
-  std::sort(samples.begin(), samples.end());
-  const size_t n = samples.size();
-  if (n < 40) {
-    *percentile = 100.0;
-    return samples.back();
-  }
-  *percentile = 100.0 * static_cast<double>(n - 10) / static_cast<double>(n);
-  return samples[n - 11];
 }
 
 pcbl::Result<pcbl::Table> MakeDataset(const std::string& name, int64_t rows,
@@ -143,29 +135,27 @@ double FileMb(const std::string& path) {
   return file ? static_cast<double>(file.tellg()) / 1e6 : 0.0;
 }
 
-double PeakRssMb() {
+namespace {
+
+// A "Vm...:" line of /proc/self/status, in MB.
+double StatusMb(const std::string& field) {
   std::ifstream status("/proc/self/status");
   std::string line;
   while (std::getline(status, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      return std::stod(line.substr(6)) / 1024.0;  // kB
+    if (line.rfind(field, 0) == 0) {
+      return std::stod(line.substr(field.size())) / 1024.0;  // kB
     }
   }
   return 0.0;
 }
 
-void AddMachineFacts(Report* report) {
-  report->facts["nproc"] = std::to_string(std::thread::hardware_concurrency());
-  std::ifstream cpuinfo("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(cpuinfo, line)) {
-    if (line.rfind("model name", 0) == 0) {
-      const size_t colon = line.find(':');
-      report->facts["cpu_model"] =
-          colon == std::string::npos ? line : line.substr(colon + 2);
-      break;
-    }
-  }
+}  // namespace
+
+double PeakRssMb() { return StatusMb("VmHWM:"); }
+
+double RssMb() { return StatusMb("VmRSS:"); }
+
+void AddKernelIsa(Report* report) {
   report->facts["kernel_isa"] = pcbl::counting::KernelDispatchDescription();
 }
 

@@ -51,7 +51,6 @@ class Oracle {
 
   int64_t rows() const { return rows_; }
   int num_attributes() const { return static_cast<int>(names_.size()); }
-  const std::vector<std::string>& names() const { return names_; }
   /// Index of an attribute name, or -1.
   int FindAttribute(std::string_view name) const;
   /// Row r's value strings.

@@ -17,9 +17,9 @@
 
 namespace perfbench {
 
-int CmdSelftest(const Flags& flags) {
+int CmdSelftest(const Flags&) {
   Report report;
-  auto table = MakeDataset("compas", flags.GetInt("rows", 3000), 11);
+  auto table = MakeDataset("compas", 3000, 11);
   if (!table.ok()) {
     std::fprintf(stderr, "selftest: %s\n", table.status().ToString().c_str());
     return 1;

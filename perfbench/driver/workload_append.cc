@@ -1,16 +1,17 @@
 // append_mixed: one api::Session over a bluenile table, one client.
 //
-// Set-up generates the base table, opens the dataset and a session, runs
-// the first search (the session's VC/P_A sync and the engine's first
-// scans) and generates the rows to append from the same generator under
-// another seed. The timed phase appends them in seeded batches; each
-// batch is followed by a label search not sent before and by true counts
-// paired with the new label's estimate. Every reply is checked afterwards
+// Set-up generates the rows to append (the same generator under another
+// seed) and the base table, opens the dataset and a session, and runs the
+// first search (the session's VC/P_A sync and the engine's first scans).
+// The timed phase appends the rows in seeded batches; each batch is
+// followed by a label search not sent before and by true counts paired
+// with the new label's estimate. Every reply is checked afterwards
 // against the oracle fed the same rows in the same order.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "api/dataset.h"
 #include "api/query.h"
 #include "api/session.h"
+#include "core/portable_label.h"
 #include "driver.h"
 #include "oracle.h"
 #include "pattern/service_registry.h"
@@ -29,14 +31,31 @@ namespace perfbench {
 namespace {
 
 constexpr int kThreads = 2;
+// Rows per appended batch, uniform in [kBatchMin, kBatchMax], and true
+// counts after each batch's search. No traffic is recorded for this
+// repository, so these are chosen, not measured; README gives the reason
+// for each.
+constexpr int64_t kBatchMin = 200;
+constexpr int64_t kBatchMax = 2000;
+constexpr int kCountsPerRound = 6;
 
 using Rows = std::vector<std::vector<std::string>>;
 
 struct Round {
-  Rows batch;
+  // Rows [begin, end) of the table of rows to append.
+  int64_t begin = 0;
+  int64_t end = 0;
   int64_t bound = 0;
   std::vector<int> focus;
   std::vector<Terms> counts;
+};
+
+// What the checks and metrics need of a round's replies. The replies
+// themselves are dropped, so the benchmark holds little when the peak
+// resident set is read.
+struct CountReply {
+  int64_t true_count = 0;
+  std::optional<double> estimate;
 };
 
 struct RoundOutcome {
@@ -44,19 +63,26 @@ struct RoundOutcome {
   double search_ms = 0.0;
   std::vector<double> count_ms;
   bool ok = true;
-  pcbl::api::QueryResult search;
-  std::vector<pcbl::api::QueryResult> counts;
+  int64_t total_rows = 0;
+  double max_abs = 0.0;
+  int64_t patterns = 0;
+  double search_seconds = 0.0;
+  int64_t subsets_examined = 0;
   std::shared_ptr<const pcbl::PortableLabel> label;
+  std::vector<CountReply> counts;
 };
 
-Rows ToRows(const pcbl::Table& table) {
-  Rows rows(static_cast<size_t>(table.num_rows()));
-  for (int64_t r = 0; r < table.num_rows(); ++r) {
+// Rows [begin, end) of `table` as strings, into `rows`.
+void RowStrings(const pcbl::Table& table, int64_t begin, int64_t end,
+                Rows* rows) {
+  rows->resize(static_cast<size_t>(end - begin));
+  for (int64_t r = begin; r < end; ++r) {
+    std::vector<std::string>& row = (*rows)[static_cast<size_t>(r - begin)];
+    row.resize(static_cast<size_t>(table.num_attributes()));
     for (int a = 0; a < table.num_attributes(); ++a) {
-      rows[static_cast<size_t>(r)].push_back(table.ValueString(r, a));
+      row[static_cast<size_t>(a)] = table.ValueString(r, a);
     }
   }
-  return rows;
 }
 
 pcbl::api::QuerySpec SearchSpec(int64_t bound, const std::vector<int>& focus) {
@@ -69,30 +95,42 @@ pcbl::api::QuerySpec SearchSpec(int64_t bound, const std::vector<int>& focus) {
 struct Setup {
   std::unique_ptr<pcbl::api::Session> session;
   std::shared_ptr<const pcbl::Table> base;
-  std::vector<Round> rounds;
+  // The rows to append, generated whole; each round's batch is turned
+  // into strings just before it is appended.
+  std::unique_ptr<const pcbl::Table> appended;
+  // Resident growth over generating `appended`: the benchmark's own data.
+  double appended_mb = 0.0;
 };
 
-// The rounds, fixed by the seed: batch sizes, search specs (no spec
+// The batch sizes, fixed by the seed.
+std::vector<int64_t> BatchSizes(uint64_t seed, int64_t rounds) {
+  std::mt19937_64 rng(seed ^ 0xba7c4ULL);
+  std::vector<int64_t> sizes;
+  for (int64_t k = 0; k < rounds; ++k) {
+    sizes.push_back(kBatchMin + static_cast<int64_t>(
+                                    rng() % static_cast<uint64_t>(kBatchMax - kBatchMin + 1)));
+  }
+  return sizes;
+}
+
+// The rounds, fixed by the seed: batch ranges, search specs (no spec
 // repeats), and count patterns drawn from the rows committed by then.
 std::vector<Round> MakeRounds(uint64_t seed, const pcbl::Table& base,
-                              const Rows& appended, int64_t rounds,
-                              int64_t batch_min, int64_t batch_max,
-                              int64_t counts) {
+                              const pcbl::Table& appended,
+                              const std::vector<int64_t>& sizes) {
   std::mt19937_64 rng(seed ^ 0xa99e2dULL);
   const int width = base.num_attributes();
   std::vector<Round> out;
-  size_t next = 0;
+  int64_t next = 0;
   std::vector<std::pair<int64_t, std::vector<int>>> sent;
-  for (int64_t k = 0; k < rounds; ++k) {
+  for (size_t k = 0; k < sizes.size(); ++k) {
     Round round;
-    const size_t size = static_cast<size_t>(
-        batch_min + static_cast<int64_t>(rng() % static_cast<uint64_t>(batch_max - batch_min + 1)));
-    round.batch.assign(appended.begin() + static_cast<std::ptrdiff_t>(next),
-                       appended.begin() + static_cast<std::ptrdiff_t>(next + size));
-    next += size;
+    round.begin = next;
+    round.end = next + sizes[k];
+    next = round.end;
     // Bounds cycle through four equal strata of [20, 200]; every third
     // cycle ranks against a focus set instead of P_A.
-    const int64_t j = k % 4;
+    const int64_t j = static_cast<int64_t>(k % 4);
     bool focused = (k / 4) % 3 == 2;
     for (int attempt = 0;; ++attempt) {
       round.bound = 20 + 181 * j / 4 +
@@ -115,8 +153,8 @@ std::vector<Round> MakeRounds(uint64_t seed, const pcbl::Table& base,
       }
     }
     sent.emplace_back(round.bound, round.focus);
-    const int64_t committed = base.num_rows() + static_cast<int64_t>(next);
-    for (int64_t c = 0; c < counts; ++c) {
+    const int64_t committed = base.num_rows() + next;
+    for (int c = 0; c < kCountsPerRound; ++c) {
       const int64_t row = static_cast<int64_t>(rng() % static_cast<uint64_t>(committed));
       std::vector<int> attrs(static_cast<size_t>(width));
       for (int a = 0; a < width; ++a) attrs[static_cast<size_t>(a)] = a;
@@ -125,9 +163,8 @@ std::vector<Round> MakeRounds(uint64_t seed, const pcbl::Table& base,
       Terms terms;
       for (int a : attrs) {
         const std::string value =
-            row < base.num_rows()
-                ? base.ValueString(row, a)
-                : appended[static_cast<size_t>(row - base.num_rows())][static_cast<size_t>(a)];
+            row < base.num_rows() ? base.ValueString(row, a)
+                                  : appended.ValueString(row - base.num_rows(), a);
         terms.emplace_back(base.schema().name(a), value);
       }
       round.counts.push_back(std::move(terms));
@@ -137,20 +174,22 @@ std::vector<Round> MakeRounds(uint64_t seed, const pcbl::Table& base,
   return out;
 }
 
-pcbl::Status SetUp(const Flags& flags, Tracer& tracer, Setup* s) {
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  const int64_t rounds = flags.GetInt("rounds", 50);
-  const int64_t batch_min = flags.GetInt("batch-min", 500);
-  const int64_t batch_max = flags.GetInt("batch-max", 4000);
+// Generates the rows to append (first, so that the resident growth over
+// it is their own size) and the base table, opens the dataset and a
+// session, and runs the session's first search.
+pcbl::Status SetUp(const Flags& flags, int64_t appended_rows, Tracer& tracer,
+                   Setup* s) {
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed"));
+  const double rss_before = RssMb();
   int span = tracer.Begin("workload.Make");
-  auto base = MakeDataset("bluenile", flags.GetInt("rows", 1000000), seed);
-  auto extra = MakeDataset("bluenile", rounds * batch_max, seed + 7919);
+  auto appended = MakeDataset("bluenile", appended_rows, seed + 7919);
+  s->appended_mb = RssMb() - rss_before;
+  auto base = MakeDataset("bluenile", flags.GetInt("rows"), seed);
   tracer.End(span);
   if (!base.ok()) return base.status();
-  if (!extra.ok()) return extra.status();
+  if (!appended.ok()) return appended.status();
+  s->appended = std::make_unique<const pcbl::Table>(std::move(*appended));
   s->base = std::make_shared<const pcbl::Table>(std::move(*base));
-  s->rounds = MakeRounds(seed, *s->base, ToRows(*extra), rounds, batch_min,
-                         batch_max, flags.GetInt("counts", 4));
   span = tracer.Begin("api.Dataset::FromTable");
   auto dataset = pcbl::api::Dataset::FromTable(s->base);
   tracer.End(span);
@@ -171,25 +210,35 @@ pcbl::Status SetUp(const Flags& flags, Tracer& tracer, Setup* s) {
 }  // namespace
 
 int CmdAppend(const Flags& flags) {
-  const bool traced = flags.GetInt("trace", 0) != 0;
+  const bool traced = flags.GetInt("trace") != 0;
   Tracer tracer(traced);
   Report report;
-  AddMachineFacts(&report);
+  AddKernelIsa(&report);
 
-  std::vector<double> setup_s;
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed"));
+  const std::vector<int64_t> sizes = BatchSizes(seed, flags.GetInt("rounds"));
+  int64_t appended_rows = 0;
+  for (int64_t size : sizes) appended_rows += size;
+
+  std::vector<double>& setup_s = report.samples["setup_s"];
   auto setup = std::make_unique<Setup>();
-  const int64_t setups = flags.GetInt("setups", 3);
+  const int64_t setups = flags.GetInt("setups");
   for (int64_t k = 0; k < setups; ++k) {
     setup.reset();
     pcbl::ServiceRegistry::Global().Clear();
     setup = std::make_unique<Setup>();
     const auto start = Clock::now();
-    if (pcbl::Status st = SetUp(flags, tracer, setup.get()); !st.ok()) {
+    if (pcbl::Status st = SetUp(flags, appended_rows, tracer, setup.get());
+        !st.ok()) {
       std::fprintf(stderr, "append set-up: %s\n", st.ToString().c_str());
       return 1;
     }
     setup_s.push_back(SecondsSince(start));
+    // The first set-up runs on a fresh heap, so its growth is the table's.
+    if (k == 0) report.values["appended_table_mb"] = setup->appended_mb;
   }
+  const std::vector<Round> rounds =
+      MakeRounds(seed, *setup->base, *setup->appended, sizes);
   pcbl::api::Session& session = *setup->session;
   const std::shared_ptr<pcbl::CountingService>& service =
       session.dataset().service();
@@ -197,16 +246,23 @@ int CmdAppend(const Flags& flags) {
   const pcbl::ResultTierStats tier_before = service->result_tier_stats();
 
   // --- timed phase ------------------------------------------------------
-  std::vector<RoundOutcome> outcomes(setup->rounds.size());
+  // Turning a batch into strings is the benchmark's work: it is timed
+  // apart and left out of the phase.
+  std::vector<RoundOutcome> outcomes(rounds.size());
+  Rows batch;
+  double batch_prep_s = 0.0;
   const double spans_before = tracer.RootSeconds();
   const auto phase_start = Clock::now();
-  for (size_t k = 0; k < setup->rounds.size(); ++k) {
-    const Round& round = setup->rounds[k];
+  for (size_t k = 0; k < rounds.size(); ++k) {
+    const Round& round = rounds[k];
     RoundOutcome& o = outcomes[k];
     const int64_t request = static_cast<int64_t>(k);
     auto start = Clock::now();
+    RowStrings(*setup->appended, round.begin, round.end, &batch);
+    batch_prep_s += SecondsSince(start);
+    start = Clock::now();
     int span = tracer.Begin("api.Session::AppendRows", request);
-    const pcbl::Status appended = session.AppendRows(round.batch);
+    const pcbl::Status appended = session.AppendRows(batch);
     tracer.End(span);
     o.append_ms = 1e3 * SecondsSince(start);
     ++report.attempted;
@@ -217,76 +273,82 @@ int CmdAppend(const Flags& flags) {
     }
     start = Clock::now();
     span = tracer.Begin("api.Session::Run", request);
-    o.search = session.Run(SearchSpec(round.bound, round.focus));
+    const pcbl::api::QueryResult search =
+        session.Run(SearchSpec(round.bound, round.focus));
     tracer.End(span);
     o.search_ms = 1e3 * SecondsSince(start);
     ++report.attempted;
-    if (!o.search.status.ok()) {
+    if (!search.status.ok()) {
       ++report.failed;
-      report.Mismatch("search " + std::to_string(k) + ": " + o.search.status.ToString());
+      report.Mismatch("search " + std::to_string(k) + ": " + search.status.ToString());
       o.ok = false;
     }
+    o.total_rows = search.total_rows;
+    o.max_abs = search.search.error.max_abs;
+    o.patterns = search.search.error.total;
+    o.search_seconds = search.search.stats.total_seconds;
+    o.subsets_examined = search.search.stats.subsets_examined;
     o.label = std::make_shared<const pcbl::PortableLabel>(pcbl::MakePortable(
-        o.search.search.label, session.dataset().table(), "append"));
+        search.search.label, session.dataset().table(), "append"));
     for (const Terms& terms : round.counts) {
       pcbl::api::QuerySpec spec = pcbl::api::QuerySpec::TrueCount(terms);
       spec.label = o.label;
       spec.num_threads = kThreads;
       start = Clock::now();
       span = tracer.Begin("api.Session::Run", request);
-      o.counts.push_back(session.Run(spec));
+      const pcbl::api::QueryResult count = session.Run(spec);
       tracer.End(span);
       o.count_ms.push_back(1e3 * SecondsSince(start));
       ++report.attempted;
-      if (!o.counts.back().status.ok()) {
+      if (!count.status.ok()) {
         ++report.failed;
         report.Mismatch("count in round " + std::to_string(k) + ": " +
-                        o.counts.back().status.ToString());
+                        count.status.ToString());
         o.ok = false;
       }
+      o.counts.push_back({count.true_count, count.estimate});
     }
   }
-  const double phase_s = SecondsSince(phase_start);
+  const double phase_s = SecondsSince(phase_start) - batch_prep_s;
+  batch.clear();
   report.values["phase_s"] = phase_s;
+  report.values["batch_prep_s"] = batch_prep_s;
   report.values["trace.covered_s"] = tracer.RootSeconds() - spans_before;
+  report.values["peak_rss_mb"] = PeakRssMb();
 
-  std::vector<double> all_ms, search_ms, count_ms, append_ms;
-  int64_t appended_rows = 0;
+  // The labels held for the checks, measured by their encoded size.
+  double labels_bytes = 0.0;
+  for (const RoundOutcome& o : outcomes) {
+    labels_bytes += static_cast<double>(pcbl::ToBinary(*o.label).size());
+  }
+  report.values["replies_mb"] = labels_bytes / 1e6;
+
+  std::vector<double>& op_ms = report.samples["op_ms"];
+  std::vector<double>& search_ms = report.samples["search_ms"];
+  std::vector<double>& count_ms = report.samples["count_ms"];
+  std::vector<double>& append_ms = report.samples["append.commit_ms"];
+  double append_total_s = 0.0;
   double search_seconds = 0.0;
   int64_t subsets = 0;
-  for (size_t k = 0; k < outcomes.size(); ++k) {
-    const RoundOutcome& o = outcomes[k];
-    appended_rows += static_cast<int64_t>(setup->rounds[k].batch.size());
+  for (const RoundOutcome& o : outcomes) {
     append_ms.push_back(o.append_ms);
     search_ms.push_back(o.search_ms);
-    all_ms.push_back(o.append_ms);
-    all_ms.push_back(o.search_ms);
+    op_ms.push_back(o.append_ms);
+    op_ms.push_back(o.search_ms);
     for (double ms : o.count_ms) {
-      all_ms.push_back(ms);
+      op_ms.push_back(ms);
       count_ms.push_back(ms);
     }
-    search_seconds += o.search.search.stats.total_seconds;
-    subsets += o.search.search.stats.subsets_examined;
+    append_total_s += o.append_ms / 1e3;
+    search_seconds += o.search_seconds;
+    subsets += o.subsets_examined;
   }
-  double append_total_s = 0.0;
-  for (double ms : append_ms) append_total_s += ms / 1e3;
-  double tail_percentile = 0.0;
-  report.values["setup_s"] = Median(setup_s);
-  report.values["ops_per_s"] = static_cast<double>(all_ms.size()) / phase_s;
-  report.values["op_p50_ms"] = Median(all_ms);
-  report.values["op_tail_ms"] = Tail(all_ms, &tail_percentile);
-  report.values["op_tail_percentile"] = tail_percentile;
-  report.values["op_samples"] = static_cast<double>(all_ms.size());
-  report.values["search_p50_ms"] = Median(search_ms);
-  report.values["count_p50_ms"] = Median(count_ms);
   report.values["append_rows_per_s"] =
       static_cast<double>(appended_rows) / append_total_s;
-  report.values["peak_rss_mb"] = PeakRssMb();
 
   if (traced) {
     const pcbl::CountingEngineStats engine = service->StatsSnapshot();
     const pcbl::ResultTierStats tier = service->result_tier_stats();
-    report.values["append.commit_ms"] = Median(append_ms);
     report.values["append.rows_per_s"] = report.values["append_rows_per_s"];
     report.values["engine.patched_entries"] =
         static_cast<double>(engine.patched_entries - engine_before.patched_entries);
@@ -306,7 +368,7 @@ int CmdAppend(const Flags& flags) {
     report.values["core.subsets_examined"] = static_cast<double>(subsets);
     // The first query of a fresh session over the grown, warm dataset:
     // it syncs VC and P_A over base and appended rows.
-    std::vector<double> first_ms;
+    std::vector<double>& first_ms = report.samples["api.session_first_query_ms"];
     for (int k = 0; k < 3; ++k) {
       pcbl::api::SessionOptions options;
       options.num_threads = kThreads;
@@ -318,11 +380,10 @@ int CmdAppend(const Flags& flags) {
       }
       first_ms.push_back(1e3 * SecondsSince(start));
     }
-    report.values["api.session_first_query_ms"] = Median(first_ms);
-    std::vector<double> estimate_us;
+    std::vector<double>& estimate_us = report.samples["api.estimate_us"];
     for (size_t k = 0; k < outcomes.size(); ++k) {
       const pcbl::api::LabelArtifact artifact(*outcomes[k].label);
-      for (const Terms& terms : setup->rounds[k].counts) {
+      for (const Terms& terms : rounds[k].counts) {
         const auto start = Clock::now();
         Tracer::Scope span(tracer, "api.LabelArtifact::EstimateCount");
         if (!artifact.EstimateCount(terms).ok()) {
@@ -331,7 +392,6 @@ int CmdAppend(const Flags& flags) {
         estimate_us.push_back(1e6 * SecondsSince(start));
       }
     }
-    report.values["api.estimate_us"] = Median(estimate_us);
     report.values["workload.synth_s"] =
         tracer.TotalSeconds("workload.Make") / static_cast<double>(setups);
     for (const auto& [layer, seconds] : tracer.SelfSecondsByLayer()) {
@@ -365,26 +425,30 @@ int CmdAppend(const Flags& flags) {
       break;
     }
   }
+  const pcbl::Table& appended = *setup->appended;
   for (size_t k = 0; k < outcomes.size(); ++k) {
-    const Round& round = setup->rounds[k];
+    const Round& round = rounds[k];
     const RoundOutcome& o = outcomes[k];
-    for (const auto& values : round.batch) {
-      views.assign(values.begin(), values.end());
+    for (int64_t r = round.begin; r < round.end; ++r) {
+      for (int a = 0; a < appended.num_attributes(); ++a) {
+        row[static_cast<size_t>(a)] = appended.ValueString(r, a);
+        views[static_cast<size_t>(a)] = row[static_cast<size_t>(a)];
+      }
       if (pcbl::Status st = oracle.AddRow(views); !st.ok()) {
         report.Mismatch("oracle: " + st.ToString());
       }
     }
     if (!o.ok) continue;
     const std::string where = "round " + std::to_string(k) + ": ";
-    if (o.search.total_rows != oracle.rows()) {
+    if (o.total_rows != oracle.rows()) {
       report.Mismatch(where + "search total_rows differs from the data");
     }
     LabelExpectation expect;
     expect.bound = round.bound;
     expect.focus = round.focus;
-    expect.reported_max_abs = o.search.search.error.max_abs;
+    expect.reported_max_abs = o.max_abs;
     expect.max_abs_tolerance = 1e-6 * std::max(1.0, expect.reported_max_abs);
-    expect.reported_patterns = o.search.search.error.total;
+    expect.reported_patterns = o.patterns;
     const std::string problem = oracle.CheckLabel(*o.label, expect);
     if (!problem.empty()) report.Mismatch(where + problem);
     for (size_t c = 0; c < round.counts.size(); ++c) {

@@ -22,8 +22,8 @@ int CmdGen(const Flags& flags) {
   const std::string out = flags.Get("out");
   Report report;
   auto start = Clock::now();
-  auto table = MakeDataset(dataset, flags.GetInt("rows", 0),
-                           static_cast<uint64_t>(flags.GetInt("seed", 1)));
+  auto table = MakeDataset(dataset, flags.GetInt("rows"),
+                           static_cast<uint64_t>(flags.GetInt("seed")));
   if (!table.ok()) {
     std::fprintf(stderr, "gen: %s\n", table.status().ToString().c_str());
     return 1;
@@ -68,7 +68,7 @@ int CmdCheckBuild(const Flags& flags) {
       continue;
     }
     LabelExpectation expect;
-    expect.bound = flags.GetInt("bound", 0);
+    expect.bound = flags.GetInt("bound");
     expect.reported_max_abs = std::stod(spec.substr(c1 + 1, c2 - c1 - 1));
     expect.reported_patterns = std::stoll(spec.substr(c2 + 1, c3 - c2 - 1));
     expect.max_abs_tolerance = std::stod(spec.substr(c3 + 1));
@@ -91,7 +91,6 @@ int CmdTraceBuild(const Flags& flags) {
   const std::string out = flags.Get("out");
   Tracer tracer(true);
   Report report;
-  AddMachineFacts(&report);
   const auto start = Clock::now();
   const int build = tracer.Begin("cli.build", 0);
 
@@ -123,8 +122,8 @@ int CmdTraceBuild(const Flags& flags) {
   tracer.End(span);
 
   pcbl::SearchOptions options;
-  options.size_bound = flags.GetInt("bound", 100);
-  options.num_threads = static_cast<int>(flags.GetInt("threads", 2));
+  options.size_bound = flags.GetInt("bound");
+  options.num_threads = static_cast<int>(flags.GetInt("threads"));
   span = tracer.Begin("core.LabelSearch::TopDown", 0);
   pcbl::LabelSearch search(*shared, vc, fpi, service);
   const pcbl::SearchResult result = search.TopDown(options);

@@ -4,7 +4,7 @@
 Run from the root of a source checkout:
 
     python3 perfbench/run.py --workload build_bluenile --seed 1 \
-        --seconds 20 --trace 0
+        --seconds 15 --trace 0
 
 The first run builds the program (the repository's own CMake build, into
 .bench_build/) and the benchmark's driver against it. Inputs are made from
@@ -39,21 +39,26 @@ DRIVER = DRIVER_BUILD / "perfbench_driver"
 BOUND = 100
 THREADS = 2
 SETUPS = 3
+# Builds per run at the least, so that a build workload has a median and
+# a slowest build.
+MIN_BUILDS = 2
 
-# Fixed work per run: `seconds` times the rate measured on the reference
-# machine (README), rounded to whole operations, so a run on that machine
-# measures for about --seconds and every run of a workload does the same
-# work whatever its speed.
+# Fixed work per run: `seconds` times a rate, in whole operations, so every
+# run of a workload does the same work whatever its speed. The rates are
+# set so that the runs BENCHMARK.json asks for (--seconds 15) fit its time
+# budget while each median still has enough samples; on the reference
+# machine (README) a run measures for about 17 s (build_bluenile, 8
+# builds), 24 s (build_compas, 2 builds), 24 s (serve_mixed, 2,600
+# requests) and 20 s (append_mixed, 240 rounds).
 WORKLOADS = {
     "build_bluenile": {"kind": "build", "dataset": "bluenile",
                        "rows": 1_000_000, "builds_per_s": 0.5},
     "build_compas": {"kind": "build", "dataset": "compas",
-                     "rows": 1_000_000, "builds_per_s": 0.15},
+                     "rows": 1_000_000, "builds_per_s": 0.09},
     "serve_mixed": {"kind": "serve", "bluenile_rows": 200_000,
-                    "compas_rows": 100_000, "requests_per_s": 130},
+                    "compas_rows": 100_000, "requests_per_s": 175},
     "append_mixed": {"kind": "append", "rows": 1_000_000,
-                     "rounds_per_s": 12, "batch_min": 200,
-                     "batch_max": 2000, "counts": 6},
+                     "rounds_per_s": 16},
 }
 
 # Inputs of the benchmark's own tests: every workload, small.
@@ -147,7 +152,9 @@ def timed_process(cmd, stdout_path):
 
 
 def tail(samples):
-    """The highest percentile with ten samples above it, and its rank.
+    """The highest percentile with ten samples above it, and its rank:
+    the sample with exactly ten larger ones. Every tail the benchmark
+    reports is taken here, from the raw samples.
 
     With fewer than 40 samples there is no such tail; the slowest sample
     stands in for it (rank 100)."""
@@ -213,7 +220,7 @@ def build_workload(name, cfg, seed, seconds, traced, small):
                          f"rows, {int(made['values']['attributes'])} "
                          f"attributes, {made['values']['csv_mb']:.1f} MB CSV")
         builds = small.get("builds") or max(
-            2, round(seconds * cfg["builds_per_s"]))
+            MIN_BUILDS, round(seconds * cfg["builds_per_s"]))
         walls, rss, labels = [], [], []
         for i in range(builds):
             label = WORK / f"{name}-{i}.bin"
@@ -302,9 +309,7 @@ def in_process_workload(name, cfg, seed, seconds, traced, small):
     else:
         args = ["append", "--rows", small.get("rows", cfg["rows"]),
                 "--rounds", small.get("rounds") or
-                round(seconds * cfg["rounds_per_s"]),
-                "--batch-min", cfg["batch_min"],
-                "--batch-max", cfg["batch_max"], "--counts", cfg["counts"]]
+                round(seconds * cfg["rounds_per_s"])]
     args += ["--seed", seed]
     result = {"correct": True, "errors": [], "attempted": 0, "failed": 0}
     info = {}
@@ -332,25 +337,41 @@ def in_process_workload(name, cfg, seed, seconds, traced, small):
         if not report["correct"]:
             result["correct"] = False
             result["errors"] += report["errors"]
-    v = reports[0]["values"]
+    v, samples = reports[0]["values"], reports[0]["samples"]
+    op_ms = samples["op_ms"]
+    slowest, rank = tail(op_ms)
     info["isa"] = reports[0]["facts"]["kernel_isa"]
-    info["samples"] = (f"{int(v['op_samples'])} operations; op_tail_ms is "
-                       f"p{v['op_tail_percentile']:.2f}")
-    info["count_p50_ms"] = f"{v['count_p50_ms']:.4f}"
+    info["samples"] = (f"{len(op_ms)} operations; op_tail_ms is "
+                       f"p{rank:.2f}")
+    info["count_p50_ms"] = f"{statistics.median(samples['count_ms']):.4f}"
     for dataset in ("bluenile", "compas"):
-        if f"search_p50_ms.{dataset}" in v:
+        if f"search_ms.{dataset}" in samples:
             info[f"search_p50_ms on {dataset}"] = (
-                f"{v['search_p50_ms.' + dataset]:.3f}")
+                f"{statistics.median(samples['search_ms.' + dataset]):.3f}")
     if "append_rows_per_s" in v:
         info["append_rows_per_s"] = f"{v['append_rows_per_s']:.0f}"
+    # What of peak_rss_mb is the benchmark's own: on append_mixed the
+    # generated table of rows to append, on serve_mixed the request plan
+    # and the replies kept for the checks.
+    own = (v.get("appended_table_mb", 0.0) + v.get("plan_mb", 0.0)
+           + v.get("replies_mb", 0.0))
+    info["benchmark data at peak"] = f"about {own:.1f} MB"
     if not traced:
-        metrics = {k: v[k] for k in ("setup_s", "ops_per_s", "op_p50_ms",
-                                     "op_tail_ms", "search_p50_ms",
-                                     "peak_rss_mb")}
+        metrics = {
+            "setup_s": statistics.median(samples["setup_s"]),
+            "ops_per_s": len(op_ms) / v["phase_s"],
+            "op_p50_ms": statistics.median(op_ms),
+            "op_tail_ms": slowest,
+            "search_p50_ms": statistics.median(samples["search_ms"]),
+            "peak_rss_mb": v["peak_rss_mb"],
+        }
         return result, metrics, info
-    t = reports[1]["values"]
+    t, traced_samples = reports[1]["values"], reports[1]["samples"]
     metrics = dict(t)
-    metrics["api.count_p50_ms"] = t["count_p50_ms"]
+    for name, values in traced_samples.items():
+        if name in PER_LAYER:
+            metrics[name] = statistics.median(values)
+    metrics["api.count_p50_ms"] = statistics.median(traced_samples["count_ms"])
     metrics["trace.coverage_pct"] = 100.0 * t["trace.covered_s"] / t["phase_s"]
     metrics["trace.overhead_pct"] = (
         100.0 * (t["phase_s"] - v["phase_s"]) / v["phase_s"])
