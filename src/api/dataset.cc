@@ -9,7 +9,9 @@ namespace api {
 
 Result<Dataset> Dataset::FromCsvFile(const std::string& path,
                                      const DatasetOptions& options) {
-  PCBL_ASSIGN_OR_RETURN(Table table, ReadCsvFile(path));
+  CsvOptions csv;
+  csv.num_threads = options.num_threads;
+  PCBL_ASSIGN_OR_RETURN(Table table, ReadCsvFile(path, csv));
   return FromTable(std::move(table), options);
 }
 
@@ -37,7 +39,8 @@ Result<Dataset> Dataset::FromTable(std::shared_ptr<const Table> table,
     if (!options.spill_directory.empty()) {
       registry.SetSpillDirectory(options.spill_directory);
     }
-    dataset.service_ = registry.Acquire(dataset.table_);
+    dataset.service_ =
+        registry.Acquire(dataset.table_, dataset.fingerprint_);
   }
   return dataset;
 }

@@ -50,6 +50,11 @@ struct DatasetOptions {
   /// record for this content exists. Empty = leave the registry's spill
   /// configuration unchanged. Ignored with private_service.
   std::string spill_directory;
+
+  /// Worker threads that parse a CSV (FromCsvFile). 0 = all hardware
+  /// threads, as SessionOptions::num_threads. The table is the same for
+  /// any value.
+  int num_threads = 0;
 };
 
 class Dataset {

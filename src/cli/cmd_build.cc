@@ -35,9 +35,9 @@ constexpr char kUsage[] =
     "                     (e.g. sensitive) attributes instead of P_A\n"
     "                     (Definition 2.15's custom pattern set)\n"
     "  --time-limit SECS  cap candidate generation (0 = unlimited)\n"
-    "  --threads N        worker threads for candidate sizing/ranking\n"
-    "                     (0 = all hardware threads; results are\n"
-    "                     identical for any value)\n"
+    "  --threads N        worker threads for CSV parsing and candidate\n"
+    "                     sizing/ranking (0 = all hardware threads;\n"
+    "                     results are identical for any value)\n"
     "  --no-engine        size candidates with serial per-subset scans\n"
     "                     instead of the batched+memoized counting engine\n"
     "  --cache-budget N   engine memoization budget in cached group\n"

@@ -41,8 +41,9 @@ constexpr char kUsage[] =
     "flags:\n"
     "  --data FILE        also compute the true count from this CSV and\n"
     "                     report the estimation error\n"
-    "  --threads N        worker threads of the counting service used for\n"
-    "                     the true count (0 = all hardware threads)\n"
+    "  --threads N        worker threads that parse --data and run the\n"
+    "                     counting service's true count (0 = all\n"
+    "                     hardware threads)\n"
     "  --no-engine        count with the serial one-shot scan instead of\n"
     "                     the memoized counting engine\n"
     "  --cache-budget N   engine memoization budget in cached group\n"

@@ -43,8 +43,8 @@ constexpr char kUsage[] =
     "                     |P_S| over all attribute pairs (0 = all pairs);\n"
     "                     these are the candidate seeds of a bound-B_s\n"
     "                     label search\n"
-    "  --threads N        worker threads for the pairwise sizing batch\n"
-    "                     (0 = all hardware threads)\n"
+    "  --threads N        worker threads for CSV parsing and the pairwise\n"
+    "                     sizing batch (0 = all hardware threads)\n"
     "  --no-engine        size pairs with serial one-shot scans instead\n"
     "                     of the batched counting engine\n"
     "  --cache-budget N   engine memoization budget in cached group\n"

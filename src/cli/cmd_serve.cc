@@ -41,6 +41,10 @@ constexpr char kUsage[] =
     "  --retry-after-ms N     backoff hint attached to shed replies\n"
     "                         (default 50)\n"
     "  --max-frame-bytes N    per-frame payload ceiling (default 64MiB)\n"
+    "  --threads N            worker threads that parse each --catalog\n"
+    "                         CSV (0 = all hardware threads); a CSV a\n"
+    "                         client registers is parsed on its\n"
+    "                         connection's thread\n"
     "  --service-budget N     process-wide registry memory budget (bytes)\n"
     "  --cache-budget N       per-tenant engine memoization budget\n"
     "  --result-cache-budget N\n"

@@ -62,6 +62,7 @@ api::DatasetOptions ServiceFlags::ToDatasetOptions() const {
   api::DatasetOptions options;
   options.service_memory_budget = service_budget;  // -1 = leave unchanged
   options.spill_directory = spill_dir;             // "" = leave unchanged
+  options.num_threads = static_cast<int>(threads);  // 0 = auto, as here
   return options;
 }
 

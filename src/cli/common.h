@@ -68,7 +68,8 @@ struct ServiceFlags {
 
   /// Session defaults carrying the per-invocation knobs.
   api::SessionOptions ToSessionOptions() const;
-  /// Dataset options carrying the registry budget.
+  /// Dataset options carrying the registry budget and the CSV parse
+  /// threads.
   api::DatasetOptions ToDatasetOptions() const;
 };
 

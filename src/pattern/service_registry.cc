@@ -106,6 +106,13 @@ std::shared_ptr<CountingService> ServiceRegistry::Acquire(
     const CountingEngineOptions& options) {
   PCBL_CHECK(table != nullptr);
   const TableFingerprint fingerprint = FingerprintTable(*table);
+  return Acquire(std::move(table), fingerprint, options);
+}
+
+std::shared_ptr<CountingService> ServiceRegistry::Acquire(
+    std::shared_ptr<const Table> table, const TableFingerprint& fingerprint,
+    const CountingEngineOptions& options) {
+  PCBL_CHECK(table != nullptr);
   std::lock_guard<std::mutex> lock(mu_);
   return AcquireLocked(
       fingerprint, [&table] { return std::move(table); }, options);

@@ -161,6 +161,12 @@ class ServiceRegistry {
       std::shared_ptr<const Table> table,
       const CountingEngineOptions& options = {});
 
+  /// Same, keyed on the caller's `fingerprint`, which must be
+  /// FingerprintTable(*table): for callers that already hashed the table.
+  std::shared_ptr<CountingService> Acquire(
+      std::shared_ptr<const Table> table, const TableFingerprint& fingerprint,
+      const CountingEngineOptions& options = {});
+
   /// Adjusts the process budget and immediately enforces it.
   void SetMemoryBudget(int64_t bytes);
 

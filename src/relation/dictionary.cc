@@ -5,7 +5,7 @@
 namespace pcbl {
 
 ValueId Dictionary::Intern(std::string_view value) {
-  auto it = index_.find(std::string(value));
+  auto it = index_.find(value);
   if (it != index_.end()) return it->second;
   ValueId id = static_cast<ValueId>(values_.size());
   PCBL_CHECK(id != kNullValue) << "dictionary overflow";
@@ -15,7 +15,7 @@ ValueId Dictionary::Intern(std::string_view value) {
 }
 
 ValueId Dictionary::Lookup(std::string_view value) const {
-  auto it = index_.find(std::string(value));
+  auto it = index_.find(value);
   if (it == index_.end()) return kNullValue;
   return it->second;
 }

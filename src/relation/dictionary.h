@@ -2,6 +2,7 @@
 #ifndef PCBL_RELATION_DICTIONARY_H_
 #define PCBL_RELATION_DICTIONARY_H_
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -40,8 +41,17 @@ class Dictionary {
   const std::vector<std::string>& values() const { return values_; }
 
  private:
+  // Hashes std::string and std::string_view alike, so Intern and Lookup
+  // probe with the caller's view instead of building a std::string.
+  struct ViewHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   std::vector<std::string> values_;
-  std::unordered_map<std::string, ValueId> index_;
+  std::unordered_map<std::string, ValueId, ViewHash, std::equal_to<>> index_;
 };
 
 }  // namespace pcbl

@@ -130,6 +130,17 @@ ValueId TableBuilder::InternValue(int attr, std::string_view value) {
   return dicts_[static_cast<size_t>(attr)]->Intern(value);
 }
 
+void TableBuilder::AdoptColumns(std::vector<std::vector<ValueId>> columns,
+                                std::vector<int64_t> null_counts) {
+  const size_t n = static_cast<size_t>(num_attributes());
+  PCBL_CHECK(columns.size() == n && null_counts.size() == n);
+  for (const std::vector<ValueId>& column : columns) {
+    PCBL_CHECK(column.size() == columns[0].size());
+  }
+  table_.columns_ = std::move(columns);
+  table_.null_counts_ = std::move(null_counts);
+}
+
 Table TableBuilder::Build() {
   // Freeze: the table takes const handles and the builder drops its
   // write access, so sharing them (Project, table copies) is safe.

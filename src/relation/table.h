@@ -110,6 +110,13 @@ class TableBuilder {
   /// useful for fixing domain contents (and therefore id order) up front.
   ValueId InternValue(int attr, std::string_view value);
 
+  /// Replaces the rows added so far with whole encoded columns, one per
+  /// attribute and all of one length, plus each column's NULL count.
+  /// Codes must be ids of this builder's dictionaries or kNullValue; they
+  /// are not re-checked (the CSV reader's bulk path, which interns them).
+  void AdoptColumns(std::vector<std::vector<ValueId>> columns,
+                    std::vector<int64_t> null_counts);
+
   int num_attributes() const { return table_.num_attributes(); }
   int64_t num_rows() const { return table_.num_rows(); }
 

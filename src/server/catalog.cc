@@ -24,7 +24,12 @@ Result<wire::RegisterReply> Catalog::RegisterCsvText(
   if (name.empty()) {
     return InvalidArgumentError("dataset name must not be empty");
   }
-  PCBL_ASSIGN_OR_RETURN(Table table, ReadCsvString(csv_text));
+  // Parsed on the calling handler thread: registrations do not pass the
+  // server's query admission, so parsing in parallel here would let
+  // clients decide how many threads the server starts.
+  CsvOptions csv;
+  csv.num_threads = 1;
+  PCBL_ASSIGN_OR_RETURN(Table table, ReadCsvString(csv_text, csv));
   PCBL_ASSIGN_OR_RETURN(api::Dataset dataset,
                         api::Dataset::FromTable(std::move(table), options_));
   return Insert(name, std::move(dataset));

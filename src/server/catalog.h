@@ -47,7 +47,8 @@ class Catalog {
   /// Client registration from CSV text. Same name + same content is an
   /// idempotent success; same name + different content is
   /// kAlreadyExists; a new name over content-equal data shares the
-  /// existing entry's Dataset (reply.shared_existing = true).
+  /// existing entry's Dataset (reply.shared_existing = true). The text
+  /// is parsed on the calling thread alone.
   Result<wire::RegisterReply> RegisterCsvText(const std::string& name,
                                               const std::string& csv_text);
 

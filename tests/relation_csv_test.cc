@@ -1,63 +1,79 @@
 // Tests for CSV parsing and serialization.
 #include "relation/csv.h"
 
+#include <sys/stat.h>
+
+#include <cstdio>
+#include <fstream>
+#include <string>
+#include <thread>
+
 #include <gtest/gtest.h>
 
 namespace pcbl {
 namespace {
 
 TEST(CsvParseTest, SimpleRecords) {
-  auto recs = ParseCsvRecords("a,b\n1,2\n3,4\n");
-  ASSERT_TRUE(recs.ok());
-  ASSERT_EQ(recs->size(), 3u);
-  EXPECT_EQ((*recs)[0], (std::vector<std::string>{"a", "b"}));
-  EXPECT_EQ((*recs)[2], (std::vector<std::string>{"3", "4"}));
+  auto t = ReadCsvString("a,b\n1,2\n3,4\n");
+  ASSERT_TRUE(t.ok()) << t.status();
+  ASSERT_EQ(t->num_rows(), 2);
+  EXPECT_EQ(t->schema().names(), (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(t->ValueString(1, 0), "3");
+  EXPECT_EQ(t->ValueString(1, 1), "4");
 }
 
 TEST(CsvParseTest, MissingTrailingNewline) {
-  auto recs = ParseCsvRecords("a,b\n1,2");
-  ASSERT_TRUE(recs.ok());
-  EXPECT_EQ(recs->size(), 2u);
+  auto t = ReadCsvString("a,b\n1,2");
+  ASSERT_TRUE(t.ok()) << t.status();
+  ASSERT_EQ(t->num_rows(), 1);
+  EXPECT_EQ(t->ValueString(0, 1), "2");
 }
 
 TEST(CsvParseTest, QuotedFieldsWithSeparators) {
-  auto recs = ParseCsvRecords("a\n\"x,y\"\n");
-  ASSERT_TRUE(recs.ok());
-  EXPECT_EQ((*recs)[1][0], "x,y");
+  auto t = ReadCsvString("a\n\"x,y\"\n");
+  ASSERT_TRUE(t.ok()) << t.status();
+  ASSERT_EQ(t->num_rows(), 1);
+  EXPECT_EQ(t->ValueString(0, 0), "x,y");
 }
 
 TEST(CsvParseTest, EscapedQuotes) {
-  auto recs = ParseCsvRecords("a\n\"he said \"\"hi\"\"\"\n");
-  ASSERT_TRUE(recs.ok());
-  EXPECT_EQ((*recs)[1][0], "he said \"hi\"");
+  auto t = ReadCsvString("a\n\"he said \"\"hi\"\"\"\n");
+  ASSERT_TRUE(t.ok()) << t.status();
+  ASSERT_EQ(t->num_rows(), 1);
+  EXPECT_EQ(t->ValueString(0, 0), "he said \"hi\"");
 }
 
 TEST(CsvParseTest, NewlineInsideQuotes) {
-  auto recs = ParseCsvRecords("a,b\n\"line1\nline2\",z\n");
-  ASSERT_TRUE(recs.ok());
-  ASSERT_EQ(recs->size(), 2u);
-  EXPECT_EQ((*recs)[1][0], "line1\nline2");
-  EXPECT_EQ((*recs)[1][1], "z");
+  auto t = ReadCsvString("a,b\n\"line1\nline2\",z\n");
+  ASSERT_TRUE(t.ok()) << t.status();
+  ASSERT_EQ(t->num_rows(), 1);
+  EXPECT_EQ(t->ValueString(0, 0), "line1\nline2");
+  EXPECT_EQ(t->ValueString(0, 1), "z");
 }
 
 TEST(CsvParseTest, CrLfAndLoneCr) {
-  auto recs = ParseCsvRecords("a,b\r\n1,2\r3,4\n");
-  ASSERT_TRUE(recs.ok());
-  ASSERT_EQ(recs->size(), 3u);
-  EXPECT_EQ((*recs)[1], (std::vector<std::string>{"1", "2"}));
+  auto t = ReadCsvString("a,b\r\n1,2\r3,4\n");
+  ASSERT_TRUE(t.ok()) << t.status();
+  ASSERT_EQ(t->num_rows(), 2);
+  EXPECT_EQ(t->schema().names(), (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(t->ValueString(0, 0), "1");
+  EXPECT_EQ(t->ValueString(0, 1), "2");
+  EXPECT_EQ(t->ValueString(1, 0), "3");
 }
 
 TEST(CsvParseTest, CustomSeparator) {
   CsvOptions opts;
   opts.separator = ';';
-  auto recs = ParseCsvRecords("a;b\n1;2\n", opts);
-  ASSERT_TRUE(recs.ok());
-  EXPECT_EQ((*recs)[1], (std::vector<std::string>{"1", "2"}));
+  auto t = ReadCsvString("a;b\n1;2\n", opts);
+  ASSERT_TRUE(t.ok()) << t.status();
+  ASSERT_EQ(t->num_rows(), 1);
+  EXPECT_EQ(t->ValueString(0, 0), "1");
+  EXPECT_EQ(t->ValueString(0, 1), "2");
 }
 
 TEST(CsvParseTest, Errors) {
-  EXPECT_FALSE(ParseCsvRecords("a\n\"unterminated\n").ok());
-  EXPECT_FALSE(ParseCsvRecords("a\nfo\"o\n").ok());
+  EXPECT_FALSE(ReadCsvString("a\n\"unterminated\n").ok());
+  EXPECT_FALSE(ReadCsvString("a\nfo\"o\n").ok());
 }
 
 TEST(CsvReadTest, BuildsTable) {
@@ -148,6 +164,30 @@ TEST(CsvFileTest, WriteAndReadBack) {
   ASSERT_TRUE(t2.ok());
   EXPECT_EQ(t2->ValueString(0, 0), "v1");
   EXPECT_FALSE(ReadCsvFile("/nonexistent/dir/file.csv").ok());
+}
+
+TEST(CsvFileTest, ReadsAPipeToTheEnd) {
+  // A FIFO reports no size: the reader grows its buffer until the writer
+  // closes, over several of its first-read blocks.
+  std::string text = "k,v\n";
+  for (int i = 0; i < 40000; ++i) {
+    text += "key" + std::to_string(i % 97) + ",value" + std::to_string(i);
+    text += "\n";
+  }
+  ASSERT_GT(text.size(), size_t{256} << 10);
+  const std::string path = ::testing::TempDir() + "/pcbl_csv_test.fifo";
+  std::remove(path.c_str());
+  ASSERT_EQ(mkfifo(path.c_str(), 0600), 0);
+  std::thread writer([&] { std::ofstream(path, std::ios::binary) << text; });
+  auto read = ReadCsvFile(path);
+  writer.join();
+  std::remove(path.c_str());
+  ASSERT_TRUE(read.ok()) << read.status();
+  auto want = ReadCsvString(text);
+  ASSERT_TRUE(want.ok()) << want.status();
+  ASSERT_EQ(read->num_rows(), 40000);
+  EXPECT_EQ(read->ValueString(39999, 1), "value39999");
+  EXPECT_EQ(read->dictionary(0).values(), want->dictionary(0).values());
 }
 
 }  // namespace

@@ -12,12 +12,18 @@
 //    with kResourceExhausted and a retry-after hint in bounded time,
 //    and the retry after drain succeeds;
 //  * admission-level errors (unknown dataset, register conflicts) and
-//    the corrupt/oversized-frame rejection path end-to-end.
+//    the corrupt/oversized-frame rejection path end-to-end;
+//  * clients registering multi-MiB CSVs at once get the serial reader's
+//    tables, and the server starts no parse threads for them.
 #include "server/server.h"
 
 #include <sys/socket.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -35,6 +41,7 @@
 #include "server/client.h"
 #include "server/socket_io.h"
 #include "server/wire.h"
+#include "util/str.h"
 #include "workload/datasets.h"
 
 namespace pcbl {
@@ -284,6 +291,73 @@ TEST(ServerTest, RegisterConflictsAndIdempotence) {
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result->status.ok());
   EXPECT_EQ(result->total_rows, 200);
+  server.Stop();
+}
+
+// Threads of this process (Linux), or -1 when that cannot be read.
+int ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+TEST(ServerTest, ConcurrentRegistrationsParseOnTheirConnectionThreads) {
+  // Registrations skip the server's query admission, so a client's CSV is
+  // parsed on the connection's handler thread alone. Each CSV here is
+  // large enough that a parallel parse would split it into chunks.
+  constexpr int kClients = 4;
+  std::vector<std::string> csvs;
+  for (int i = 0; i < kClients; ++i) {
+    csvs.push_back(WriteCsvString(workload::MakeCompas(40000, 70 + i).value()));
+    ASSERT_GT(csvs.back().size(), size_t{4} << 20);
+  }
+  Catalog catalog(PrivateOptions());
+  Server server(&catalog, ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  std::vector<Client> clients;
+  for (int i = 0; i < kClients; ++i) {
+    clients.push_back(MustConnect(server.bound_address()));
+    // A round trip, so the connection's handler thread is running.
+    ASSERT_TRUE(clients.back().Hello("t").ok());
+  }
+
+  // Every thread the registrations may use exists from here on: the
+  // handlers, and below one client thread each plus the sampler.
+  const int before = ProcessThreads();
+  std::atomic<bool> done{false};
+  std::atomic<int> most{before};
+  std::thread sampler([&] {
+    while (!done.load()) {
+      most.store(std::max(most.load(), ProcessThreads()));
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  std::vector<Result<wire::RegisterReply>> replies(
+      kClients, InternalError("not run"));
+  std::vector<std::thread> senders;
+  for (int i = 0; i < kClients; ++i) {
+    senders.emplace_back([&, i] {
+      replies[i] = clients[i].Register("t", StrCat("data", i), csvs[i]);
+    });
+  }
+  for (std::thread& t : senders) t.join();
+  done.store(true);
+  sampler.join();
+
+  for (int i = 0; i < kClients; ++i) {
+    ASSERT_TRUE(replies[i].ok()) << i << ": " << replies[i].status();
+    const Table want = ReadCsvString(csvs[i]).value();
+    const TableFingerprint fingerprint = FingerprintTable(want);
+    EXPECT_EQ(replies[i]->fingerprint.lo, fingerprint.lo) << i;
+    EXPECT_EQ(replies[i]->fingerprint.hi, fingerprint.hi) << i;
+    EXPECT_EQ(replies[i]->rows, want.num_rows()) << i;
+    EXPECT_FALSE(replies[i]->shared_existing) << i;
+  }
+  if (before > 0) {
+    EXPECT_LE(most.load(), before + kClients + 1);
+  }
   server.Stop();
 }
 
