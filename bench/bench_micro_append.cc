@@ -1,8 +1,8 @@
 // Micro-benchmark for the multi-appender append path: sustained
-// appends/s at 1/2/4 concurrent appender sessions with group commit on
-// vs off (the merge factor is the whole point — N appenders behind one
-// admission should cost ~one engine hook per batch, not per row), plus
-// concurrent-search latency while a sibling session ingests.
+// appends/s at 1/2/4 concurrent appender sessions (group commit's merge
+// factor is the whole point — N appenders behind one admission should
+// cost ~one engine hook per batch, not per row), plus concurrent-search
+// latency while a sibling session ingests.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -58,16 +58,14 @@ std::vector<std::vector<std::string>> AppenderRows(int k, int attrs) {
 }
 
 // N appender sessions racing single-row appends into one shared
-// service; Arg(0) = appender count, Arg(1) = group commit on/off.
-// Reported rate is total appended rows per second.
+// service; Arg(0) = appender count. Reported rate is total appended rows
+// per second.
 void BM_ConcurrentAppendRows(benchmark::State& state) {
   const int appenders = static_cast<int>(state.range(0));
-  const bool group_commit = state.range(1) != 0;
   const Table& t = CompasTable();
   for (auto _ : state) {
     state.PauseTiming();
     api::Dataset dataset = PrivateDataset(t);
-    dataset.service()->set_append_group_commit(group_commit);
     std::vector<std::unique_ptr<api::Session>> sessions;
     for (int k = 0; k < appenders; ++k) {
       auto session = api::Session::Open(dataset);
@@ -92,15 +90,11 @@ void BM_ConcurrentAppendRows(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * appenders *
                           kRowsPerAppender);
   state.counters["appenders"] = appenders;
-  state.counters["group_commit"] = group_commit ? 1 : 0;
 }
 BENCHMARK(BM_ConcurrentAppendRows)
-    ->Args({1, 1})
-    ->Args({2, 1})
-    ->Args({4, 1})
-    ->Args({1, 0})
-    ->Args({2, 0})
-    ->Args({4, 0})
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -76,8 +76,9 @@ class Dataset {
   const std::shared_ptr<const Table>& shared_table() const { return table_; }
 
   /// The dataset's counting service (registry-shared unless
-  /// DatasetOptions::private_service). Sessions serialize engine access
-  /// through its mutex(); most callers never touch it directly.
+  /// DatasetOptions::private_service). Sessions reach its engine through
+  /// the admission gate and wave scheduler; most callers never touch it
+  /// directly.
   const std::shared_ptr<CountingService>& service() const {
     return service_;
   }

@@ -31,13 +31,6 @@ Status ValidateQuerySpec(const QuerySpec& spec) {
         "min_rows_per_morsel must be >= 0 (0 disables intra-subset "
         "parallelism)");
   }
-  if (spec.use_counting_engine.has_value() && !*spec.use_counting_engine &&
-      spec.counting_cache_budget.has_value() &&
-      *spec.counting_cache_budget > 0) {
-    return InvalidArgumentError(
-        "conflicting engine flags: a disabled counting engine cannot "
-        "honour a positive cache budget");
-  }
   if (spec.kind == QuerySpec::Kind::kTrueCount && spec.pattern.empty()) {
     return InvalidArgumentError(
         "a true-count query needs at least one attr=value term");

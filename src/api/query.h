@@ -12,9 +12,9 @@
 //
 // Specs are validated *centrally* (ValidateQuerySpec plus the session's
 // schema-dependent checks) and nonsense inputs — a negative size bound,
-// zero worker threads, a disabled engine combined with a positive
-// memoization budget — come back as Status instead of being clamped
-// silently at each call site.
+// zero worker threads, a disabled result cache combined with a positive
+// byte budget — come back as Status instead of being clamped silently
+// at each call site.
 #ifndef PCBL_API_QUERY_H_
 #define PCBL_API_QUERY_H_
 
@@ -67,16 +67,11 @@ struct QuerySpec {
 
   // --- per-query engine overrides (unset = session defaults) ------------
   std::optional<int> num_threads;
-  std::optional<bool> use_counting_engine;
   std::optional<int64_t> counting_cache_budget;
   /// Minimum rows per morsel for morsel-parallel exact sizing scans
   /// (0 disables intra-subset parallelism). Result-neutral — excluded
   /// from the result-cache key like num_threads.
   std::optional<int64_t> min_rows_per_morsel;
-  /// Ride the service's wave scheduler (concurrent queries merge their
-  /// in-flight sizing batches) vs. the serialized whole-search lock.
-  /// Byte-identical results either way; see docs/CONCURRENCY.md.
-  std::optional<bool> use_wave_scheduler;
   /// Route the query through the service's result tier: identical
   /// in-flight queries collapse onto one execution, identical repeats
   /// answer from the bounded completed-result cache. Byte-identical
@@ -183,7 +178,7 @@ bool QuerySpecCacheable(const QuerySpec& spec);
 /// terms are sorted by (name, value), the focus set hashes by mask
 /// bits — and a default left implicit keys identically to the same
 /// value spelled out. Knobs that cannot change result bytes (threads,
-/// engine/memoization flags, scheduler, the result-cache flags
+/// the memoization and morsel budgets, the result-cache flags
 /// themselves) and kTrueCount's consumer-side `label` (the data-backed
 /// count is label-independent; the estimate is merged per caller) are
 /// excluded. Deterministic across processes: no pointers, no

@@ -1,7 +1,6 @@
 #include "api/session.h"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "core/pattern_set.h"
@@ -25,32 +24,6 @@ Status EvictedServiceStatus() {
       "service is acquired) and retry the query");
 }
 
-// Holds one query's admission for its whole execution: a shared gate
-// admission (scheduled) or the whole-query service lock (serialized).
-struct QueryAdmissionGuard {
-  std::optional<CountingService::QueryAdmission> admission;
-  std::unique_lock<std::mutex> lock;
-};
-
-// The one admission protocol of every query kind. Serialized queries
-// that want the engine configured up front pass `config` (the
-// scheduled path carries its config per wave instead). After admission
-// the evicted flag is re-checked: an eviction that raced the fast path
-// in Session::Execute either drained this query (it was admitted
-// first) or is visible here — the registry marks before it quiesces.
-Status AdmitQuery(CountingService& service, bool scheduled,
-                  const CountingEngineOptions* config,
-                  QueryAdmissionGuard* guard) {
-  if (scheduled) {
-    guard->admission.emplace(service);
-  } else {
-    guard->lock = std::unique_lock<std::mutex>(service.mutex());
-    if (config != nullptr) service.Configure(*config);
-  }
-  if (service.evicted()) return EvictedServiceStatus();
-  return Status::Ok();
-}
-
 }  // namespace
 
 Result<std::unique_ptr<Session>> Session::Open(Dataset dataset,
@@ -69,11 +42,6 @@ Result<std::unique_ptr<Session>> Session::Open(Dataset dataset,
     return InvalidArgumentError(
         "counting_cache_budget must be >= 0 (or -1 for the engine "
         "default)");
-  }
-  if (!options.use_counting_engine && options.counting_cache_budget > 0) {
-    return InvalidArgumentError(
-        "conflicting engine flags: a disabled counting engine cannot "
-        "honour a positive cache budget");
   }
   if (options.result_cache_budget < -1) {
     return InvalidArgumentError(
@@ -102,22 +70,9 @@ Session::Session(Dataset dataset, SessionOptions options)
 
 Status Session::Validate(const QuerySpec& spec) const {
   PCBL_RETURN_IF_ERROR(ValidateQuerySpec(spec));
-  // Engine-flag conflicts across the spec/session boundary: a query may
-  // inherit the disabled engine from the session while requesting a
-  // positive budget itself, or vice versa.
-  const bool engine_on =
-      spec.use_counting_engine.value_or(options_.use_counting_engine);
-  const int64_t budget = spec.counting_cache_budget.has_value()
-                             ? *spec.counting_cache_budget
-                             : options_.counting_cache_budget;
-  if (!engine_on && budget > 0) {
-    return InvalidArgumentError(
-        "conflicting engine flags: a disabled counting engine cannot "
-        "honour a positive cache budget");
-  }
-  // Same cross-boundary check for the result tier: a spec may inherit
-  // the disabled cache from the session while asking for a budget
-  // itself, or vice versa.
+  // Result-tier conflicts across the spec/session boundary: a spec may
+  // inherit the disabled cache from the session while asking for a
+  // budget itself, or vice versa.
   const bool result_cache_on =
       spec.use_result_cache.value_or(options_.use_result_cache);
   const int64_t result_budget = spec.result_cache_budget.has_value()
@@ -142,10 +97,7 @@ SearchOptions Session::ToSearchOptions(const QuerySpec& spec) const {
   options.metric = spec.metric;
   options.time_limit_seconds = spec.time_limit_seconds;
   options.record_candidates = spec.record_candidates;
-  options.use_wave_scheduler = UseScheduler(spec);
   options.num_threads = spec.num_threads.value_or(options_.num_threads);
-  options.use_counting_engine =
-      spec.use_counting_engine.value_or(options_.use_counting_engine);
   const int64_t budget = spec.counting_cache_budget.has_value()
                              ? *spec.counting_cache_budget
                              : options_.counting_cache_budget;
@@ -160,7 +112,6 @@ SearchOptions Session::ToSearchOptions(const QuerySpec& spec) const {
 CountingEngineOptions Session::ToEngineOptions(const QuerySpec& spec) const {
   const SearchOptions search = ToSearchOptions(spec);
   CountingEngineOptions options;
-  options.enabled = search.use_counting_engine;
   options.num_threads = search.num_threads;
   options.cache_budget = search.counting_cache_budget;
   options.min_rows_per_morsel = search.min_rows_per_morsel;
@@ -190,63 +141,90 @@ QueryResult Session::Run(const QuerySpec& spec) {
 }
 
 QueryResult Session::Execute(const QuerySpec& spec) {
+  QueryResult result;
+  result.kind = spec.kind;
+  CountingService& service = *dataset_.service();
   // A service the registry evicted (memory pressure or Clear) still
   // computes exactly for existing holders, but it is detached: no other
   // consumer can find it, so its cache warms nobody and nobody warms it.
   // Refuse retryably instead of silently degrading — re-opening the
   // Dataset acquires a fresh, findable shared service. This is the
-  // cheap pre-admission fast path; the admitted bodies re-check, since
-  // a Clear may mark-and-quiesce between this probe and the admission.
-  if (dataset_.service()->evicted()) {
-    QueryResult result;
-    result.kind = spec.kind;
+  // cheap pre-admission fast path; it is re-checked after admission.
+  if (service.evicted()) {
     result.status = EvictedServiceStatus();
     return result;
   }
+  // The label-side estimate of a true count needs no data access at all
+  // (the paper's consumer-side story) — answer it before touching the
+  // service.
+  if (spec.kind == QuerySpec::Kind::kTrueCount && spec.label != nullptr) {
+    Result<double> estimate = spec.label->EstimateCount(spec.pattern);
+    if (!estimate.ok()) {
+      result.status = estimate.status();
+      return result;
+    }
+    result.estimate = *estimate;
+  }
+  // The one admission discipline of every query kind: a shared gate
+  // admission pins the engine's data (appends are excluded) for the
+  // whole query while its sizing waves merge with concurrent queries'.
+  // An eviction that raced the fast path above either drained this
+  // query (it was admitted first) or is visible now — the registry
+  // marks before it quiesces.
+  CountingService::QueryAdmission admission(service);
+  if (service.evicted()) {
+    result.status = EvictedServiceStatus();
+    return result;
+  }
+  // The tier caches the counted half of a true count only: the
+  // data-backed count is label-independent, so specs differing only in
+  // `label` share one cache entry and each caller merges its own
+  // estimate here.
+  QueryResult answered = ExecuteViaResultTier(spec);
+  answered.estimate = result.estimate;
+  return answered;
+}
+
+QueryResult Session::ExecuteAdmitted(const QuerySpec& spec) {
   switch (spec.kind) {
     case QuerySpec::Kind::kLabelSearch:
-      return ExecuteSearch(spec);
+      return ExecuteSearchAdmitted(spec);
     case QuerySpec::Kind::kTrueCount:
-      return ExecuteTrueCount(spec);
+      return ExecuteTrueCountAdmitted(spec);
     case QuerySpec::Kind::kProfile:
-      return ExecuteProfile(spec);
+      return ExecuteProfileAdmitted(spec);
   }
   QueryResult result;
   result.status = InternalError("unknown query kind");
   return result;
 }
 
-QueryResult Session::ExecuteViaResultTier(
-    const QuerySpec& spec, bool scheduled,
-    const std::function<QueryResult()>& body) {
+QueryResult Session::ExecuteViaResultTier(const QuerySpec& spec) {
   CountingService& service = *dataset_.service();
   const bool cache_on =
       spec.use_result_cache.value_or(options_.use_result_cache);
+  if (!cache_on || !QuerySpecCacheable(spec)) {
+    return ExecuteAdmitted(spec);
+  }
   // Stable for the whole call: the caller's admission excludes appends.
   // Every cacheable result is a pure function of (content, spec): value
   // strings resolve through the service's shared interner, so appends
-  // grow every session's view identically — and each append arm clears
+  // grow every session's view identically — and each append clears
   // this cache eagerly, so no entry outlives the rows it describes.
   const int64_t rows = service.engine().total_rows();
-  if (!cache_on || !QuerySpecCacheable(spec)) {
-    return body();
-  }
   const QueryResultKey key =
       CanonicalQueryKey(spec, dataset_.fingerprint());
   const int64_t budget = spec.result_cache_budget.has_value()
                              ? *spec.result_cache_budget
                              : options_.result_cache_budget;
-  // Only a gate-admitted (scheduled) query may park on a leader: the
-  // serialized discipline holds mutex(), which the leader's waves need.
-  ResultProbe probe =
-      service.ResultLookupOrBegin(key, rows, /*may_join=*/scheduled, budget);
+  ResultProbe probe = service.ResultLookupOrBegin(key, rows, budget);
   if (probe.hit) {
     return *std::static_pointer_cast<const QueryResult>(probe.value);
   }
   if (probe.leader) {
     QueryResult result;
     try {
-      result = body();
+      result = ExecuteAdmitted(spec);
     } catch (...) {
       // Joiners rethrow from their future, exactly as executing the
       // query themselves would have thrown.
@@ -260,37 +238,10 @@ QueryResult Session::ExecuteViaResultTier(
                           /*cache=*/shared->status.ok());
     return *shared;
   }
-  if (probe.join.valid()) {
-    return *std::static_pointer_cast<const QueryResult>(probe.join.get());
-  }
-  // In flight but this caller may not park: execute without publishing.
-  return body();
+  return *std::static_pointer_cast<const QueryResult>(probe.join.get());
 }
 
-QueryResult Session::ExecuteSearch(const QuerySpec& spec) {
-  CountingService& service = *dataset_.service();
-  const bool scheduled = UseScheduler(spec);
-  // Scheduled: a shared admission pins the engine's data (appends are
-  // excluded) for the whole query while sizing waves merge with
-  // concurrent queries'. Serialized: the whole query runs under the
-  // service lock. The search configures the engine itself, so no
-  // up-front config is passed.
-  QueryAdmissionGuard guard;
-  Status admitted =
-      AdmitQuery(service, scheduled, /*config=*/nullptr, &guard);
-  if (!admitted.ok()) {
-    QueryResult result;
-    result.kind = spec.kind;
-    result.status = admitted;
-    return result;
-  }
-  return ExecuteViaResultTier(spec, scheduled, [&] {
-    return ExecuteSearchAdmitted(spec, scheduled);
-  });
-}
-
-QueryResult Session::ExecuteSearchAdmitted(const QuerySpec& spec,
-                                           bool scheduled) {
+QueryResult Session::ExecuteSearchAdmitted(const QuerySpec& spec) {
   QueryResult result;
   result.kind = spec.kind;
   CountingService& service = *dataset_.service();
@@ -309,8 +260,7 @@ QueryResult Session::ExecuteSearchAdmitted(const QuerySpec& spec,
       // OverAttributes scans the base table; after appends the focus
       // set is derived from the engine's delta-aware state instead, so
       // a focus search keeps working — byte-identical to a rebuild.
-      Result<PatternSet> focus_set =
-          ExtendedFocusPatterns(spec, scheduled, *vc);
+      Result<PatternSet> focus_set = ExtendedFocusPatterns(spec, *vc);
       if (!focus_set.ok()) {
         result.status = focus_set.status();
         return result;
@@ -322,16 +272,12 @@ QueryResult Session::ExecuteSearchAdmitted(const QuerySpec& spec,
   }
   const SearchOptions options = ToSearchOptions(spec);
   const bool naive = spec.algorithm == QuerySpec::Algorithm::kNaive;
-  result.search =
-      scheduled ? (naive ? search.NaiveScheduled(options)
-                         : search.TopDownScheduled(options))
-                : (naive ? search.NaiveLocked(options)
-                         : search.TopDownLocked(options));
+  result.search = naive ? search.NaiveScheduled(options)
+                        : search.TopDownScheduled(options);
   return result;
 }
 
 Result<PatternSet> Session::ExtendedFocusPatterns(const QuerySpec& spec,
-                                                  bool scheduled,
                                                   const ValueCounts& vc) {
   CountingService& service = *dataset_.service();
   std::vector<Pattern> patterns;
@@ -343,10 +289,7 @@ Result<PatternSet> Session::ExtendedFocusPatterns(const QuerySpec& spec,
     // ascending key order (partially-bound groups carry kNullValue for
     // unbound attributes and are skipped).
     std::shared_ptr<const GroupCounts> pc =
-        scheduled
-            ? service.WavePatternCounts({spec.focus},
-                                        ToEngineOptions(spec))[0]
-            : service.engine().PatternCounts(spec.focus);
+        service.WavePatternCounts({spec.focus}, ToEngineOptions(spec))[0];
     const int width = pc->key_width();
     for (int64_t g = 0; g < pc->num_groups(); ++g) {
       const ValueId* key = pc->key(g);
@@ -384,41 +327,7 @@ Result<PatternSet> Session::ExtendedFocusPatterns(const QuerySpec& spec,
                                            std::move(counts));
 }
 
-QueryResult Session::ExecuteTrueCount(const QuerySpec& spec) {
-  QueryResult result;
-  result.kind = spec.kind;
-  // The label-side estimate needs no data access at all (the paper's
-  // consumer-side story) — answer it before touching the service.
-  if (spec.label != nullptr) {
-    Result<double> estimate = spec.label->EstimateCount(spec.pattern);
-    if (!estimate.ok()) {
-      result.status = estimate.status();
-      return result;
-    }
-    result.estimate = *estimate;
-  }
-  CountingService& service = *dataset_.service();
-  const bool scheduled = UseScheduler(spec);
-  const CountingEngineOptions config = ToEngineOptions(spec);
-  QueryAdmissionGuard guard;
-  Status admitted = AdmitQuery(service, scheduled, &config, &guard);
-  if (!admitted.ok()) {
-    result.status = admitted;
-    return result;
-  }
-  // The tier caches the counted half only (ExecuteTrueCountAdmitted
-  // never sets `estimate`): the data-backed count is label-independent,
-  // so specs differing only in `label` share one cache entry and each
-  // caller merges its own estimate below.
-  QueryResult counted = ExecuteViaResultTier(spec, scheduled, [&] {
-    return ExecuteTrueCountAdmitted(spec, scheduled);
-  });
-  counted.estimate = result.estimate;  // computed service-free above
-  return counted;
-}
-
-QueryResult Session::ExecuteTrueCountAdmitted(const QuerySpec& spec,
-                                              bool scheduled) {
+QueryResult Session::ExecuteTrueCountAdmitted(const QuerySpec& spec) {
   QueryResult result;
   result.kind = spec.kind;
   CountingService& service = *dataset_.service();
@@ -435,9 +344,7 @@ QueryResult Session::ExecuteTrueCountAdmitted(const QuerySpec& spec,
     AttrMask mask;
     for (const auto& [attr, value] : *terms) mask.Set(attr);
     std::shared_ptr<const GroupCounts> pc =
-        scheduled
-            ? service.WavePatternCounts({mask}, ToEngineOptions(spec))[0]
-            : service.engine().PatternCounts(mask);
+        service.WavePatternCounts({mask}, ToEngineOptions(spec))[0];
     const int width = pc->key_width();
     for (int64_t g = 0; g < pc->num_groups(); ++g) {
       const ValueId* key = pc->key(g);
@@ -462,27 +369,7 @@ QueryResult Session::ExecuteTrueCountAdmitted(const QuerySpec& spec,
   return result;
 }
 
-QueryResult Session::ExecuteProfile(const QuerySpec& spec) {
-  QueryResult result;
-  result.kind = spec.kind;
-  CountingService& service = *dataset_.service();
-  const bool scheduled = UseScheduler(spec);
-  // The profile is one wave: admit shared and let it merge, or take the
-  // serialized lock.
-  const CountingEngineOptions config = ToEngineOptions(spec);
-  QueryAdmissionGuard guard;
-  Status admitted = AdmitQuery(service, scheduled, &config, &guard);
-  if (!admitted.ok()) {
-    result.status = admitted;
-    return result;
-  }
-  return ExecuteViaResultTier(spec, scheduled, [&] {
-    return ExecuteProfileAdmitted(spec, scheduled);
-  });
-}
-
-QueryResult Session::ExecuteProfileAdmitted(const QuerySpec& spec,
-                                            bool scheduled) {
+QueryResult Session::ExecuteProfileAdmitted(const QuerySpec& spec) {
   QueryResult result;
   result.kind = spec.kind;
   CountingService& service = *dataset_.service();
@@ -495,10 +382,9 @@ QueryResult Session::ExecuteProfileAdmitted(const QuerySpec& spec,
       masks.push_back(AttrMask::Single(i).Union(AttrMask::Single(j)));
     }
   }
+  // The profile is one wave.
   const std::vector<int64_t> sizes =
-      scheduled ? service.WaveCountPatterns(masks, /*budget=*/-1,
-                                            ToEngineOptions(spec))
-                : service.engine().CountPatternsBatch(masks, /*budget=*/-1);
+      service.WaveCountPatterns(masks, /*budget=*/-1, ToEngineOptions(spec));
   result.pairs.reserve(masks.size());
   size_t k = 0;
   for (int i = 0; i < n; ++i) {

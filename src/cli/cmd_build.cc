@@ -38,8 +38,6 @@ constexpr char kUsage[] =
     "  --threads N        worker threads for CSV parsing and candidate\n"
     "                     sizing/ranking (0 = all hardware threads;\n"
     "                     results are identical for any value)\n"
-    "  --no-engine        size candidates with serial per-subset scans\n"
-    "                     instead of the batched+memoized counting engine\n"
     "  --cache-budget N   engine memoization budget in cached group\n"
     "                     entries (0 disables memoization)\n"
     "  --service-budget N process-wide memory budget (bytes) on the\n"
@@ -81,7 +79,7 @@ int CmdBuild(const Args& args, std::ostream& out, std::ostream& err) {
   }
   if (Status s = args.CheckKnown({"help", "bound", "algo", "metric",
                                   "focus", "time-limit", "threads",
-                                  "no-engine", "cache-budget",
+                                  "cache-budget",
                                   "service-budget", "no-result-cache",
                                   "result-cache-budget", "kernel",
                                   "min-rows-per-morsel", "spill-dir",
@@ -213,12 +211,10 @@ int CmdBuild(const Args& args, std::ostream& out, std::ostream& err) {
   out << "label size |PC|:   " << result.label.size() << "\n";
   out << "subsets examined:  " << result.stats.subsets_examined
       << (result.stats.timed_out ? " (time limit hit)" : "") << "\n";
-  if ((*session)->options().use_counting_engine) {
-    out << "candidate sizing:  " << result.stats.counting.direct_scans
-        << " scans, " << result.stats.counting.rollups << " rollups, "
-        << result.stats.counting.cache_hits << " cache hits ("
-        << (*session)->options().num_threads << " threads)\n";
-  }
+  out << "candidate sizing:  " << result.stats.counting.direct_scans
+      << " scans, " << result.stats.counting.rollups << " rollups, "
+      << result.stats.counting.cache_hits << " cache hits ("
+      << (*session)->options().num_threads << " threads)\n";
   out << StrFormat("search time:       %.3f s\n", result.stats.total_seconds);
   out << "error over " << focus_desc << ":\n"
       << FormatErrorReport(result.error, table.num_rows());

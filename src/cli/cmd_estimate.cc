@@ -9,10 +9,9 @@
 // through the dataset's shared counting service — the Dataset acquires
 // it from the process-wide registry, so repeated spot checks over the
 // same data reuse one warm cache — and reports the estimation error plus
-// the registry's hit/miss/resident-bytes counters. `--threads`,
-// `--cache-budget` and `--no-engine` configure the session exactly as in
-// `pcbl build`; `--service-budget` bounds the registry's process-wide
-// cache memory.
+// the registry's hit/miss/resident-bytes counters. `--threads` and
+// `--cache-budget` configure the session exactly as in `pcbl build`;
+// `--service-budget` bounds the registry's process-wide cache memory.
 #include <cmath>
 #include <memory>
 #include <ostream>
@@ -44,8 +43,6 @@ constexpr char kUsage[] =
     "  --threads N        worker threads that parse --data and run the\n"
     "                     counting service's true count (0 = all\n"
     "                     hardware threads)\n"
-    "  --no-engine        count with the serial one-shot scan instead of\n"
-    "                     the memoized counting engine\n"
     "  --cache-budget N   engine memoization budget in cached group\n"
     "                     entries (0 disables memoization)\n"
     "  --service-budget N process-wide memory budget (bytes) on the\n"
@@ -72,7 +69,7 @@ int CmdEstimate(const Args& args, std::ostream& out, std::ostream& err) {
     return kExitOk;
   }
   if (Status s = args.CheckKnown({"help", "pattern", "data", "threads",
-                                  "no-engine", "cache-budget",
+                                  "cache-budget",
                                   "service-budget", "no-result-cache",
                                   "result-cache-budget", "kernel",
                                   "min-rows-per-morsel", "spill-dir"});
@@ -94,7 +91,7 @@ int CmdEstimate(const Args& args, std::ostream& out, std::ostream& err) {
   const std::string data_path = args.GetString("data");
   if (data_path.empty() && flags->any) {
     return FailWith(
-        InvalidArgumentError("--threads/--no-engine/--cache-budget/"
+        InvalidArgumentError("--threads/--cache-budget/"
                              "--service-budget/--no-result-cache/"
                              "--result-cache-budget/--kernel/"
                              "--min-rows-per-morsel require --data"),

@@ -10,9 +10,9 @@
 // label). The Dataset acquires its service from the process-wide
 // registry (a re-profile of the same data sizes from the warm cache) and
 // the registry's hit/miss/resident-bytes counters are reported with the
-// pairs. `--threads`, `--cache-budget` and `--no-engine` configure the
-// session exactly as in `pcbl build`; `--service-budget` bounds the
-// registry's process-wide cache memory.
+// pairs. `--threads` and `--cache-budget` configure the session exactly
+// as in `pcbl build`; `--service-budget` bounds the registry's
+// process-wide cache memory.
 #include <algorithm>
 #include <memory>
 #include <ostream>
@@ -45,8 +45,6 @@ constexpr char kUsage[] =
     "                     label search\n"
     "  --threads N        worker threads for CSV parsing and the pairwise\n"
     "                     sizing batch (0 = all hardware threads)\n"
-    "  --no-engine        size pairs with serial one-shot scans instead\n"
-    "                     of the batched counting engine\n"
     "  --cache-budget N   engine memoization budget in cached group\n"
     "                     entries (0 disables memoization)\n"
     "  --service-budget N process-wide memory budget (bytes) on the\n"
@@ -74,7 +72,7 @@ int CmdProfile(const Args& args, std::ostream& out, std::ostream& err) {
     out << kUsage;
     return kExitOk;
   }
-  if (Status s = args.CheckKnown({"help", "pairs", "threads", "no-engine",
+  if (Status s = args.CheckKnown({"help", "pairs", "threads",
                                   "cache-budget", "service-budget",
                                   "no-result-cache", "result-cache-budget",
                                   "kernel", "min-rows-per-morsel",
@@ -92,13 +90,12 @@ int CmdProfile(const Args& args, std::ostream& out, std::ostream& err) {
   // dataset's service (restore on acquire, spill on exit), which happens
   // whether or not the pairwise sizing runs.
   const bool sizing_flags_given =
-      args.Has("threads") || args.Has("no-engine") ||
-      args.Has("cache-budget") || args.Has("service-budget") ||
+      args.Has("threads") || args.Has("cache-budget") || args.Has("service-budget") ||
       args.Has("no-result-cache") || args.Has("result-cache-budget") ||
       args.Has("kernel") || args.Has("min-rows-per-morsel");
   if (!args.Has("pairs") && sizing_flags_given) {
     return FailWith(
-        InvalidArgumentError("--threads/--no-engine/--cache-budget/"
+        InvalidArgumentError("--threads/--cache-budget/"
                              "--service-budget/--no-result-cache/"
                              "--result-cache-budget/--kernel/"
                              "--min-rows-per-morsel require --pairs"),

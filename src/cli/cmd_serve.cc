@@ -82,7 +82,7 @@ int CmdServe(const Args& args, std::ostream& out, std::ostream& err) {
           {"help", "listen", "catalog", "max-inflight",
            "tenant-max-inflight", "retry-after-ms", "max-frame-bytes",
            "service-budget", "cache-budget", "result-cache-budget",
-           "no-engine", "no-result-cache", "threads", "kernel",
+           "no-result-cache", "threads", "kernel",
            "min-rows-per-morsel", "spill-dir", "verbose"});
       !s.ok()) {
     return FailWith(s, "serve", err);

@@ -49,7 +49,6 @@ Result<std::vector<std::pair<std::string, std::string>>> ParseNamedPattern(
 api::SessionOptions ServiceFlags::ToSessionOptions() const {
   api::SessionOptions options;
   options.num_threads = static_cast<int>(threads);  // 0 = auto, as here
-  options.use_counting_engine = !no_engine;
   options.counting_cache_budget = has_cache_budget ? cache_budget : -1;
   options.use_result_cache = !no_result_cache;
   options.result_cache_budget =
@@ -69,7 +68,6 @@ api::DatasetOptions ServiceFlags::ToDatasetOptions() const {
 Result<ServiceFlags> ParseServiceFlags(const Args& args) {
   ServiceFlags flags;
   PCBL_ASSIGN_OR_RETURN(flags.threads, args.GetInt("threads", 0));
-  flags.no_engine = args.GetBool("no-engine");
   flags.has_cache_budget = args.Has("cache-budget");
   if (flags.has_cache_budget) {
     PCBL_ASSIGN_OR_RETURN(flags.cache_budget,
@@ -111,8 +109,7 @@ Result<ServiceFlags> ParseServiceFlags(const Args& args) {
     PCBL_RETURN_IF_ERROR(
         counting::SetKernelIsaByName(args.GetString("kernel", "auto")));
   }
-  flags.any = args.Has("threads") || args.Has("no-engine") ||
-              args.Has("cache-budget") || args.Has("service-budget") ||
+  flags.any = args.Has("threads") || args.Has("cache-budget") || args.Has("service-budget") ||
               args.Has("no-result-cache") ||
               args.Has("result-cache-budget") || args.Has("kernel") ||
               args.Has("min-rows-per-morsel") || args.Has("spill-dir");

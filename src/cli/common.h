@@ -43,19 +43,18 @@ Result<std::vector<std::pair<std::string, std::string>>> ParseNamedPattern(
 Result<OptimizationMetric> ParseMetric(const std::string& name);
 
 /// The engine/service flag set shared by the data-backed commands —
-/// `--threads N` (0 or absent = all hardware threads), `--no-engine`,
-/// `--cache-budget N`, `--service-budget N`, `--no-result-cache`,
+/// `--threads N` (0 or absent = all hardware threads),
+/// `--cache-budget N` (0 = no memoization), `--service-budget N`, `--no-result-cache`,
 /// `--result-cache-budget N`, `--kernel NAME`
 /// (scalar|avx2|neon|auto — forces the SIMD sizing-kernel ISA,
 /// validated centrally by counting::SetKernelIsaByName),
 /// `--min-rows-per-morsel N` (0 disables intra-subset parallel scans) —
 /// parsed once here instead of per command, and converted into the
 /// façade's option structs. Value validation (negative threads,
-/// conflicting engine or result-cache flags) is the façade's job:
+/// conflicting result-cache flags) is the façade's job:
 /// Session::Open / Submit return Status on nonsense.
 struct ServiceFlags {
   int64_t threads = 0;          ///< 0 = all hardware threads
-  bool no_engine = false;
   int64_t cache_budget = -1;    ///< meaningful iff has_cache_budget
   bool has_cache_budget = false;
   int64_t service_budget = -1;  ///< registry budget; -1 = flag absent

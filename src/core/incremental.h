@@ -74,10 +74,11 @@ class IncrementalLabel : public CardinalityEstimator {
   /// When `service` (the dataset's CountingService) is supplied, the
   /// initial PC set is read through its warm cache — after a label
   /// search over the same table this costs zero table scans — and every
-  /// append is forwarded to the service's invalidate-or-patch hook, so
-  /// the cached PC sets of *other* subsets stay exact against the grown
-  /// data instead of going stale. Attach one appending label per service:
-  /// the service counts each notified row as one dataset append.
+  /// append is committed through the service's string-level group-commit
+  /// path (AppendStrings / AppendTable) before this label's own state
+  /// moves, so the cached PC sets of *other* subsets stay exact against
+  /// the grown data. The service interns centrally, so sessions may
+  /// append to it alongside; this label counts only its own rows.
   static Result<IncrementalLabel> Create(
       const Table& base, AttrMask s, int64_t size_bound,
       std::shared_ptr<CountingService> service = nullptr);

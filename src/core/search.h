@@ -61,26 +61,14 @@ struct SearchOptions {
   /// bench_micro_counting_engine.
   int num_threads = 1;
 
-  /// Candidate sizing goes through the CountingEngine: lattice levels are
-  /// sized in parallel batches, within-bound PC sets are memoized and
-  /// reused by the ranking phase (and rolled up where possible) instead
-  /// of rescanning the table per subset. Disabling reverts to the serial
-  /// one-shot counters; results are byte-identical either way.
-  bool use_counting_engine = true;
-
-  /// Submit sizing waves to the service's wave scheduler instead of
-  /// holding the service mutex for the whole search: concurrent searches
-  /// over one service then merge their in-flight waves into single
-  /// deduped engine batches and rank concurrently, instead of queueing
-  /// whole searches behind each other (see docs/CONCURRENCY.md). Results
-  /// are byte-identical either way — `false` is the serialized reference
-  /// arm of the differential harness. Appends are excluded for the whole
-  /// search in both modes (admission gate vs. mutex).
-  bool use_wave_scheduler = true;
-
   /// Memoization budget of the counting engine, in cached group entries
   /// summed over all cached PC sets (0 disables memoization; batched
-  /// sizing still applies). See CountingEngineOptions::cache_budget.
+  /// sizing still applies). Candidate sizing always goes through the
+  /// CountingEngine via the service's wave scheduler: lattice levels are
+  /// sized in parallel batches that merge with concurrent searches'
+  /// waves (docs/CONCURRENCY.md), within-bound PC sets are reused by the
+  /// ranking phase, and results are byte-identical to the one-shot
+  /// counters for any budget. See CountingEngineOptions::cache_budget.
   int64_t counting_cache_budget = int64_t{1} << 20;
 
   /// Minimum rows per morsel when an exact packed scan splits one subset
@@ -115,10 +103,10 @@ struct SearchStats {
   double error_eval_seconds = 0.0;
   /// True when candidate generation hit SearchOptions::time_limit_seconds.
   bool timed_out = false;
-  /// Counting-engine observability (cache hits, rollups, direct scans).
-  /// With the wave scheduler these are the *service-global* counters at
-  /// the time the search finished — concurrent queries' work included —
-  /// since the engine is shared mid-search by design.
+  /// Counting-engine observability (cache hits, rollups, direct scans):
+  /// the *service-global* counters at the time the search finished —
+  /// concurrent queries' work included — since the engine is shared
+  /// mid-search by design.
   CountingEngineStats counting;
 };
 
@@ -220,30 +208,21 @@ class LabelSearch {
   }
 
   /// The naive level-wise algorithm (Sec. III). Self-admitting: enters
-  /// the service through the admission gate and rides the wave scheduler
-  /// (SearchOptions::use_wave_scheduler, the default), or locks the
-  /// service mutex for the whole search (the serialized reference arm).
+  /// the service through the admission gate (a shared QueryAdmission)
+  /// and rides the wave scheduler.
   SearchResult Naive(const SearchOptions& options) const;
 
   /// Algorithm 1, the optimized top-down heuristic.
   SearchResult TopDown(const SearchOptions& options) const;
 
-  /// Low-level variants that assume the caller already holds
-  /// service->mutex() for the whole search — the serialized discipline
-  /// api::Session's query executor uses when the wave scheduler is off,
-  /// so the engine state it validated against its VC / P_A snapshot
-  /// cannot shift between validation and the search. Everything else is
-  /// identical to Naive/TopDown with use_wave_scheduler = false.
-  SearchResult NaiveLocked(const SearchOptions& options) const;
-  SearchResult TopDownLocked(const SearchOptions& options) const;
-
-  /// Wave-scheduled variants that assume the caller already holds a
-  /// CountingService::QueryAdmission (shared gate) on the service —
-  /// api::Session's query executor does. Sizing waves are submitted to
-  /// the scheduler (merging with concurrent queries' waves), the ranking
-  /// phase runs on the search's own memo view of the returned PC-set
-  /// handles, and nothing holds the service mutex across waves. Results
-  /// are byte-identical to the Locked forms.
+  /// Variants that assume the caller already holds a
+  /// CountingService::QueryAdmission on the service — api::Session's
+  /// query executor does, so the engine data it validated its VC / P_A
+  /// snapshot against cannot shift before the search. Sizing waves are
+  /// submitted to the scheduler (merging with concurrent queries'
+  /// waves), the ranking phase runs on the search's own memo view of the
+  /// returned PC-set handles, and nothing holds the service mutex across
+  /// waves.
   SearchResult NaiveScheduled(const SearchOptions& options) const;
   SearchResult TopDownScheduled(const SearchOptions& options) const;
 
@@ -251,35 +230,23 @@ class LabelSearch {
   const ValueCounts& value_counts() const { return *vc_; }
   const FullPatternIndex& full_patterns() const { return *patterns_; }
 
-  // How a search talks to the counting layer: the serialized backend
-  // calls the engine directly (caller holds the service mutex for the
-  // whole search), the scheduled backend submits waves to the service's
-  // scheduler (caller holds a shared QueryAdmission). Both memoize the
-  // PC-set handles their waves return, so the ranking phase builds
-  // labels from the search's own snapshot instead of probing a cache
-  // that concurrent queries may be mutating. Implementation detail —
-  // public only so the concrete backends in search.cc can derive.
-  class Backend;
-
  private:
-  // Shared algorithm bodies: NaiveLocked/NaiveScheduled etc. are
-  // entry-discipline wrappers around these.
-  SearchResult NaiveImpl(const SearchOptions& options,
-                         Backend& backend) const;
-  SearchResult TopDownImpl(const SearchOptions& options,
-                           Backend& backend) const;
+  // How a search talks to the counting layer: waves through the
+  // service's scheduler, plus a memo of the PC-set handles they return
+  // (defined in search.cc).
+  class WaveMemo;
 
   // Ranks `cands` by (exactness-ordered) max error and assembles the
-  // SearchResult; shared tail of both algorithms. `backend` supplies the
+  // SearchResult; shared tail of both algorithms. `memo` supplies the
   // memoized PC sets so candidate labels skip the recount; in
   // append-aware mode (described_rows_ beyond the base table) it
   // additionally materializes every candidate against the extended data.
   SearchResult Finish(const std::vector<AttrMask>& cands,
                       const SearchOptions& options, SearchStats stats,
-                      double candidate_seconds, Backend& backend) const;
+                      double candidate_seconds, WaveMemo& memo) const;
 
-  // Entry checks shared by NaiveLocked/TopDownLocked: the engine must
-  // hold exactly the rows vc_/patterns_ describe.
+  // Entry check of every search: the engine must hold exactly the rows
+  // vc_/patterns_ describe.
   void CheckDescribedRows() const;
 
   // True when vc_/patterns_ describe data beyond the base table.

@@ -119,8 +119,7 @@ CountingEngine::Plan CountingEngine::MakePlan(AttrMask mask) const {
 }
 
 CountingEngine::Sizing CountingEngine::DirectSizing(
-    AttrMask mask, int64_t budget, bool materialize,
-    int morsel_threads) const {
+    AttrMask mask, int64_t budget, int morsel_threads) const {
   Sizing out;
   out.path = Path::kDirect;
   // Exact packed passes may split this one subset across threads
@@ -172,7 +171,6 @@ CountingEngine::Sizing CountingEngine::DirectSizing(
       out.size = counting::PackedCountGroupsDense(view, layout, budget,
                                                   &items, morsel);
       if (budget >= 0 && out.size > budget) return out;
-      if (!materialize) return out;
       out.counts = std::make_shared<const GroupCounts>(
           MaterializeFromPackedCodes(mask, std::move(attrs), layout,
                                      std::move(items)));
@@ -184,7 +182,7 @@ CountingEngine::Sizing CountingEngine::DirectSizing(
     // ones materialize in a second pass whose map is reserved at the now
     // exact group count, so it never rehashes.
     out.size = PackedCountDistinct(view, layout, budget, morsel);
-    if ((budget >= 0 && out.size > budget) || !materialize) return out;
+    if (budget >= 0 && out.size > budget) return out;
     out.counts =
         std::make_shared<const GroupCounts>(MaterializeFromPackedCodes(
             mask, std::move(attrs), layout,
@@ -203,13 +201,13 @@ CountingEngine::Sizing CountingEngine::DirectSizing(
     // the engine's own delta-aware sort fallback keeps the path total.
     if (!has_appended_state()) {
       out.size = CountDistinctPatterns(*table_, mask, budget);
-      if ((budget >= 0 && out.size > budget) || !materialize) return out;
+      if (budget >= 0 && out.size > budget) return out;
       out.counts = std::make_shared<const GroupCounts>(
           ComputePatternCounts(*table_, mask));
       out.full_scan = true;
       return out;
     }
-    return SortFallbackSizing(mask, budget, materialize);
+    return SortFallbackSizing(mask, budget);
   }
   // Mixed-radix one-pass: count *and* materialize, aborting once the
   // distinct count blows the budget.
@@ -239,7 +237,7 @@ CountingEngine::Sizing CountingEngine::DirectSizing(
   ForEachSubsetRow(cols, base_rows(), delta_rows_.data(), num_delta_rows(),
                    table_->num_attributes(), attrs.data(), add_row);
   out.size = counts.size();
-  if ((budget >= 0 && out.size > budget) || !materialize) return out;
+  if (budget >= 0 && out.size > budget) return out;
   out.counts = std::make_shared<const GroupCounts>(
       MaterializeFromCodes(mask, attrs, doms, mult, counts.Items()));
   out.full_scan = true;
@@ -247,7 +245,7 @@ CountingEngine::Sizing CountingEngine::DirectSizing(
 }
 
 CountingEngine::Sizing CountingEngine::SortFallbackSizing(
-    AttrMask mask, int64_t budget, bool materialize) const {
+    AttrMask mask, int64_t budget) const {
   Sizing out;
   out.path = Path::kDirect;
   const std::vector<int> attrs = mask.ToIndices();
@@ -273,15 +271,6 @@ CountingEngine::Sizing CountingEngine::SortFallbackSizing(
   for (size_t j = 0; j < width; ++j) cols[j] = BaseColumn(attrs[j]);
   ForEachSubsetRow(cols, base_rows(), delta_rows_.data(), num_delta_rows(),
                    table_->num_attributes(), attrs.data(), add_row);
-  if (!materialize) {
-    int64_t distinct = 0;
-    ForEachSortedRun(keys, width, [&](const ValueId*, int64_t) {
-      ++distinct;
-      return !(budget >= 0 && distinct > budget);
-    });
-    out.size = distinct;
-    return out;
-  }
   // One sort serves both the sizing and (within budget) the
   // materialization: runs emit in canonical order already.
   GroupCounts counts;
@@ -414,7 +403,7 @@ CountingEngine::Sizing CountingEngine::ExecutePlan(AttrMask mask,
     NullableRadixMultipliers(doms, attrs.size(), &encodable);
     if (encodable) return RollupSizing(*plan.ancestor, mask, budget);
   }
-  return DirectSizing(mask, budget, /*materialize=*/true, morsel_threads);
+  return DirectSizing(mask, budget, morsel_threads);
 }
 
 namespace {
@@ -448,7 +437,7 @@ void CountingEngine::Commit(AttrMask mask, const Sizing& sizing) {
     case Path::kTrivial:
       break;
   }
-  if (sizing.counts != nullptr && mask.Count() >= 2 && options_.enabled) {
+  if (sizing.counts != nullptr && mask.Count() >= 2) {
     CacheInsert(mask, sizing.counts);
   }
 }
@@ -674,20 +663,6 @@ void CountingEngine::CompactDeltas() {
 }
 
 int64_t CountingEngine::CountPatterns(AttrMask mask, int64_t budget) {
-  if (!options_.enabled) {
-    if (!has_appended_state()) {
-      return CountDistinctPatterns(*table_, mask, budget);
-    }
-    // Disabled engine over appended data: the one-shot counters cannot
-    // see it, so run the uncached direct scan. Size-only — nothing can
-    // cache the PC set while disabled, so materializing it (and the
-    // packed path's second scan) would be pure waste.
-    Sizing sizing = DirectSizing(mask, budget, /*materialize=*/false,
-                                 options_.num_threads);
-    Commit(mask, sizing);
-    return sizing.counts != nullptr ? sizing.counts->num_groups()
-                                    : sizing.size;
-  }
   Sizing sizing =
       ExecutePlan(mask, MakePlan(mask), budget, options_.num_threads);
   Commit(mask, sizing);
@@ -706,12 +681,6 @@ std::vector<int64_t> CountingEngine::CountPatternsBatchCollect(
   std::vector<int64_t> sizes(masks.size(), 0);
   if (counts_out != nullptr) {
     counts_out->assign(masks.size(), nullptr);
-  }
-  if (!options_.enabled) {
-    for (size_t i = 0; i < masks.size(); ++i) {
-      sizes[i] = CountPatterns(masks[i], budget);
-    }
-    return sizes;
   }
   // Plans are decided serially against the current cache, executed in
   // parallel (read-only work over the table and the planned entries), and
@@ -750,7 +719,7 @@ int64_t CountingEngine::CountCombos(AttrMask mask, int64_t budget) {
   // Reference behaviour when there is nothing the one-shot counter cannot
   // see; with appended rows (delta block or compacted base) every width
   // goes through the delta-aware paths below.
-  if (!has_appended_state() && (!options_.enabled || mask.Count() < 2)) {
+  if (!has_appended_state() && mask.Count() < 2) {
     return CountDistinctCombos(*table_, mask, budget);
   }
   if (mask.empty()) return total_rows() > 0 ? 1 : 0;
@@ -758,9 +727,7 @@ int64_t CountingEngine::CountCombos(AttrMask mask, int64_t budget) {
   const size_t width = attrs.size();
   int64_t doms[kMaxAttributes];
   for (size_t j = 0; j < width; ++j) doms[j] = DomSizeOf(attrs[j]);
-  // Disabled engines must not serve memoized answers.
-  Plan plan =
-      (options_.enabled && width >= 2) ? MakePlan(mask) : Plan{};
+  Plan plan = width >= 2 ? MakePlan(mask) : Plan{};
   if (plan.hit != nullptr) {
     // Full combos are exactly the fully-bound groups of the PC set (each
     // a distinct key), since |mask| >= 2 restrictions are all stored.
@@ -862,17 +829,6 @@ int64_t CountingEngine::CountCombos(AttrMask mask, int64_t budget) {
 
 std::shared_ptr<const GroupCounts> CountingEngine::PatternCounts(
     AttrMask mask) {
-  if (!options_.enabled) {
-    if (!has_appended_state()) {
-      return std::make_shared<const GroupCounts>(
-          ComputePatternCounts(*table_, mask));
-    }
-    Sizing sizing = DirectSizing(mask, /*budget=*/-1, /*materialize=*/true,
-                                 options_.num_threads);
-    Commit(mask, sizing);
-    PCBL_CHECK(sizing.counts != nullptr);
-    return sizing.counts;
-  }
   Sizing sizing = ExecutePlan(mask, MakePlan(mask), /*budget=*/-1,
                               options_.num_threads);
   Commit(mask, sizing);
@@ -883,12 +839,6 @@ std::shared_ptr<const GroupCounts> CountingEngine::PatternCounts(
 std::vector<std::shared_ptr<const GroupCounts>>
 CountingEngine::PatternCountsBatch(const std::vector<AttrMask>& masks) {
   std::vector<std::shared_ptr<const GroupCounts>> out(masks.size());
-  if (!options_.enabled) {
-    for (size_t i = 0; i < masks.size(); ++i) {
-      out[i] = PatternCounts(masks[i]);
-    }
-    return out;
-  }
   // Same discipline as CountPatternsBatch: serial plans, parallel
   // execution, serial input-order commits.
   std::vector<Plan> plans(masks.size());
@@ -957,7 +907,6 @@ void CountingEngine::CopyAppendedRows(int64_t first, int64_t count,
 
 std::shared_ptr<const GroupCounts> CountingEngine::PinnedPatternCounts(
     AttrMask mask) {
-  if (!options_.enabled) return PatternCounts(mask);
   // Promote an existing evictable entry: pull it out of the FIFO and the
   // budget so the sweep it anchors cannot cycle it out.
   auto it = cache_.find(mask.bits());

@@ -75,14 +75,6 @@ namespace pcbl {
 
 /// Tuning knobs of the counting engine.
 struct CountingEngineOptions {
-  /// Master switch: when false every call delegates to the one-shot
-  /// counters in counter.h (no batching, no cache) — the byte-identical
-  /// reference behaviour. A disabled engine still accepts appends: once
-  /// rows were appended (the one-shot counters cannot see them) the
-  /// delegate becomes the engine's own uncached delta-aware scan, which
-  /// stays byte-identical to the one-shot counters over a rebuilt table.
-  bool enabled = true;
-
   /// Worker threads for CountPatternsBatch (1 = serial). Results are
   /// identical for any value; only wall-clock changes.
   int num_threads = 1;
@@ -99,7 +91,9 @@ struct CountingEngineOptions {
   /// Memoization budget in cached *group entries* summed over all cached
   /// PC sets (each entry also costs one slot of overhead). 0 disables
   /// caching entirely; sizing and counting still work, just without
-  /// reuse. Eviction is FIFO by insertion order — deterministic.
+  /// reuse — the engine's no-memoization setting, byte-identical to the
+  /// one-shot counters. Eviction is FIFO by insertion order —
+  /// deterministic.
   int64_t cache_budget = int64_t{1} << 20;
 
   /// Appended-row count beyond which ApplyAppend folds the delta block
@@ -150,9 +144,7 @@ class CountingEngine {
 
   /// CountPatternsBatch that additionally hands back each mask's
   /// materialized PC set: counts_out->at(i) is non-null exactly when the
-  /// sizing materialized one (always when sizes[i] <= budget and the
-  /// engine is enabled; never while disabled — nothing materializes
-  /// there). This is the merged-batch entry point of the service's wave
+  /// sizing materialized one (always when sizes[i] <= budget). This is the merged-batch entry point of the service's wave
   /// scheduler: each waiting query keeps the handles as its own memo
   /// view, so its ranking phase never has to re-probe a cache that other
   /// queries keep mutating. Sizes, cache contents and stats are
@@ -196,9 +188,6 @@ class CountingEngine {
   /// Applies new options in place without discarding warm cache entries.
   /// Shrinking the budget evicts FIFO down to the new limit (a budget of
   /// 0 clears every unpinned entry); pinned entries are untouched.
-  /// Disabling the engine leaves cached entries in place for a later
-  /// re-enable (they stay exact: appends keep patching them), but no
-  /// call serves from or inserts into the cache while disabled.
   void Reconfigure(const CountingEngineOptions& options);
 
   /// Drops every cached entry (pinned included) — the invalidate arm of
@@ -211,9 +200,8 @@ class CountingEngine {
   /// the base code space the way TableBuilder would). Every cached PC set
   /// is *patched* with the new rows' restrictions, so warm entries stay
   /// exact against the extended data; subsequent scans include the rows.
-  /// Fully general: works with a disabled engine (scans then route
-  /// through the engine's uncached delta-aware paths) and with subsets
-  /// whose extended key space is not 64-bit-encodable (sort fallback).
+  /// Fully general: works with any cache budget and with subsets whose
+  /// extended key space is not 64-bit-encodable (sort fallback).
   /// Once the delta block exceeds options().delta_compact_threshold the
   /// call finishes by folding it into the columnar base (CompactDeltas).
   void ApplyAppend(const std::vector<std::vector<ValueId>>& rows);
@@ -344,19 +332,14 @@ class CountingEngine {
                      int morsel_threads = 1) const;
 
   // Full-scan sizing with budget abort; materializes counts on success.
-  // `materialize = false` skips the PC-set materialization (and, on the
-  // packed path, its second scan) for callers that only need the size —
-  // the disabled-engine delegate, which cannot cache the counts anyway.
   Sizing DirectSizing(AttrMask mask, int64_t budget,
-                      bool materialize = true,
                       int morsel_threads = 1) const;
 
   // Sort-based sizing over base + delta rows for subsets whose nullable
   // key space overflows 64 bits: materializes row-major restriction keys
   // (arity >= 2), sorts lexicographically (the canonical order — see
   // KeyLess), and run-counts. The general arm that keeps appends total.
-  Sizing SortFallbackSizing(AttrMask mask, int64_t budget,
-                            bool materialize) const;
+  Sizing SortFallbackSizing(AttrMask mask, int64_t budget) const;
 
   // Sort-based distinct-combination count over base + delta rows (the
   // non-encodable sibling of the delta-aware combo scan).

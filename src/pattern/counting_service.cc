@@ -19,21 +19,16 @@ constexpr int64_t kMaxPatchWork = int64_t{1} << 22;
 
 // Folds one request's engine config into the merged wave config: the
 // most capable of the waiting queries wins. Every engine answer is exact
-// under any config, so the fold changes cost attribution, never results
-// (a disabled-engine request merged with an enabled one simply gets its
-// exact values from the warmer path).
+// under any config, so the fold changes cost attribution, never results.
 void FoldConfig(const CountingEngineOptions& request,
                 CountingEngineOptions* merged, bool first) {
   if (first) {
     *merged = request;
     return;
   }
-  merged->enabled = merged->enabled || request.enabled;
   merged->num_threads = std::max(merged->num_threads, request.num_threads);
   merged->cache_budget =
       std::max(merged->cache_budget, request.cache_budget);
-  merged->delta_compact_threshold = std::max(
-      merged->delta_compact_threshold, request.delta_compact_threshold);
   // Smallest positive threshold wins (finer morsels = more intra-subset
   // parallelism); only if every waiting query disabled it stays off.
   if (request.min_rows_per_morsel > 0 &&
@@ -136,7 +131,7 @@ void CountingService::MarkEvicted() {
 // --- result tier -----------------------------------------------------------
 
 ResultProbe CountingService::ResultLookupOrBegin(const QueryResultKey& key,
-                                                 int64_t rows, bool may_join,
+                                                 int64_t rows,
                                                  int64_t budget_bytes) {
   ResultProbe probe;
   std::lock_guard<std::mutex> lock(results_mu_);
@@ -164,12 +159,8 @@ ResultProbe CountingService::ResultLookupOrBegin(const QueryResultKey& key,
   }
   auto in_flight = result_inflight_.find(key);
   if (in_flight != result_inflight_.end()) {
-    if (may_join) {
-      ++result_stats_.inflight_joins;
-      probe.join = in_flight->second->future;
-    } else {
-      ++result_stats_.bypasses;
-    }
+    ++result_stats_.inflight_joins;
+    probe.join = in_flight->second->future;
     return probe;
   }
   auto entry = std::make_shared<InFlightResult>();
@@ -310,8 +301,8 @@ void CountingService::SubmitWave(WaveRequest& req) {
     }
     wave_cv_.wait(lock);
   }
-  // A failed merged wave fails every rider the same way the serialized
-  // engine call would have failed its single caller.
+  // A failed merged wave fails every rider the same way a solo engine
+  // call would have failed its single caller.
   if (req.error != nullptr) std::rethrow_exception(req.error);
 }
 
@@ -419,13 +410,15 @@ void CountingService::ExecuteWave(const std::vector<WaveRequest*>& batch) {
     // are admitted, a wave must not shrink the cache budget below what
     // the engine already runs with — otherwise a low-budget query's
     // solo waves would evict the shared warm entries once per wave
-    // (the serialized path paid that eviction once per search). A truly
-    // solo query applies its config verbatim, exactly like Configure on
-    // the serialized path.
+    // A truly solo query applies its config verbatim.
     if (active_queries() > 1) {
       merged.cache_budget =
           std::max(merged.cache_budget, engine_.options().cache_budget);
     }
+    // The compaction threshold belongs to the service, not to a query:
+    // it stays as the service was built.
+    merged.delta_compact_threshold =
+        engine_.options().delta_compact_threshold;
     engine_.Reconfigure(merged);
     if (!count_masks.empty()) {
       count_results = engine_.PatternCountsBatch(count_masks);
@@ -473,40 +466,7 @@ void CountingService::ExecuteWave(const std::vector<WaveRequest*>& batch) {
   }
 }
 
-// --- appends ---------------------------------------------------------------
-
-void CountingService::AppendRow(const std::vector<ValueId>& codes) {
-  AppendAdmission admission(*this);
-  AppendRowLocked(codes);
-}
-
-void CountingService::AppendRows(
-    const std::vector<std::vector<ValueId>>& rows) {
-  AppendAdmission admission(*this);
-  AppendRowsLocked(rows);
-}
-
-void CountingService::AppendRowLocked(const std::vector<ValueId>& codes) {
-  // Results describe the pre-append rows; clear before the data grows
-  // (the exclusive admission excludes every lookup and publish, so the
-  // order matters only for crash hygiene — an interrupted append leaves
-  // an empty cache, never a stale one).
-  InvalidateResults();
-  engine_.ApplyAppend({codes});
-}
-
-void CountingService::AppendRowsLocked(
-    const std::vector<std::vector<ValueId>>& rows) {
-  InvalidateResults();
-  const int64_t cached = engine_.stats().cached_groups;
-  const int64_t work = static_cast<int64_t>(rows.size()) * cached;
-  if (work > kMaxPatchWork) {
-    engine_.InvalidateCache();  // the invalidate arm
-  }
-  engine_.ApplyAppend(rows);
-}
-
-// --- string-level appends (shared interning + group commit) ----------------
+// --- appends (shared interning + group commit) ----------------------------
 
 Status CountingService::AppendStrings(
     const std::vector<std::vector<std::string>>& rows) {
@@ -530,17 +490,6 @@ int64_t CountingService::TicketRows(const AppendTicket& ticket) {
 }
 
 Status CountingService::SubmitAppend(AppendTicket& ticket) {
-  if (!append_group_commit_.load(std::memory_order_relaxed)) {
-    // Solo arm: this request is its own batch (the bench's baseline).
-    {
-      std::lock_guard<std::mutex> lock(append_mu_);
-      append_stats_.requests += 1;
-      append_stats_.request_rows += TicketRows(ticket);
-    }
-    AppendAdmission admission(*this);
-    CommitAppendBatch({&ticket});
-    return ticket.status;
-  }
   std::unique_lock<std::mutex> lock(append_mu_);
   append_queue_.push_back(&ticket);
   append_stats_.requests += 1;
@@ -593,8 +542,8 @@ void CountingService::RunAppendLeader() {
   } catch (...) {
     // Fail the whole batch rather than leave siblings parked forever;
     // the statuses are best-effort (the exception itself propagates to
-    // this leader's caller, exactly as the serialized engine hook would
-    // have thrown).
+    // this leader's caller, exactly as a solo engine hook would have
+    // thrown).
     std::lock_guard<std::mutex> lock(append_mu_);
     for (AppendTicket* t : batch) {
       if (!t->status.ok() || t->done) continue;
@@ -611,22 +560,6 @@ void CountingService::RunAppendLeader() {
 
 void CountingService::CommitAppendBatch(
     const std::vector<AppendTicket*>& batch) {
-  const Table& base = engine_.table();
-  const int n = base.num_attributes();
-  // Interning guard: a code-level consumer (AppendRow/AppendRows — e.g.
-  // IncrementalLabel) may have grown the code space without the
-  // interner. String-level appends could then assign codes that collide
-  // with the anonymous ones, so they are refused instead.
-  for (int a = 0; a < n; ++a) {
-    if (engine_.EffectiveDomainSize(a) == interner_.NextCode(a)) continue;
-    const Status refused = FailedPreconditionError(
-        "this service's code space was grown by a code-level append "
-        "(CountingService::AppendRow/AppendRows) that bypassed the "
-        "shared interner; string-level appends can no longer assign "
-        "consistent codes — open a fresh Dataset over the base content");
-    for (AppendTicket* t : batch) t->status = refused;
-    return;
-  }
   SharedInterner::Batch stage(interner_);
   std::vector<std::vector<ValueId>> rows;
   int64_t merged = 0;
@@ -653,14 +586,19 @@ void CountingService::CommitAppendBatch(
   }
   if (!rows.empty()) {
     // One critical-section body for the whole batch: one result-cache
-    // invalidation, one invalidate-or-patch engine hook. The interner
-    // publishes last — if the engine hook ever threw, no phantom
-    // dictionary entries would survive it.
-    if (rows.size() == 1) {
-      AppendRowLocked(rows[0]);
-    } else {
-      AppendRowsLocked(rows);
+    // invalidation, one invalidate-or-patch engine hook. Results describe
+    // the pre-append rows, so they go first (the exclusive admission
+    // excludes every lookup and publish; the order matters only for
+    // crash hygiene — an interrupted append leaves an empty cache, never
+    // a stale one). The interner publishes last — if the engine hook
+    // ever threw, no phantom dictionary entries would survive it.
+    InvalidateResults();
+    const int64_t work =
+        static_cast<int64_t>(rows.size()) * engine_.stats().cached_groups;
+    if (work > kMaxPatchWork) {
+      engine_.InvalidateCache();  // the invalidate arm
     }
+    engine_.ApplyAppend(rows);
     interner_.Commit(std::move(stage));
   }
   std::lock_guard<std::mutex> lock(append_mu_);

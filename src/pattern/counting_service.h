@@ -28,8 +28,8 @@
 //    concurrent identical searches therefore perform ~one set of scans
 //    — even with memoization off, where the cache cannot help — and
 //    their ranking phases overlap instead of queueing
-//    (bench_micro_wave_scheduler). Results are byte-identical to the
-//    serialized path: every engine answer is exact regardless of cache
+//    (bench_micro_wave_scheduler). Results are byte-identical to a solo
+//    query's: every engine answer is exact regardless of cache
 //    state, and a request folded into a larger budget still satisfies
 //    the early-exit contract ("any value > budget" may simply be the
 //    exact one). The admission window (set_wave_admission_window) gives
@@ -45,12 +45,15 @@
 //    engine *cache* mutations (the coordinator's merged waves, under
 //    mutex()) proceed freely: they are physical, not semantic.
 //
-//  * The serialized path survives. mutex() still serializes whole
-//    searches for legacy consumers (theory sweeps, IncrementalLabel,
-//    SearchOptions::use_wave_scheduler = false — the differential
-//    harness' reference arm): the coordinator takes mutex() per merged
-//    wave, so both disciplines interleave safely. Lock order is always
-//    gate -> mutex(); nothing acquires the gate while holding mutex().
+//  * One query discipline. Every query kind — searches, true counts,
+//    profiles, the theory sweep, IncrementalLabel's seed — is admitted
+//    through QueryAdmission and reaches the engine only through waves.
+//    mutex() guards the engine itself: the coordinator takes it per
+//    merged wave, the append commit inside its AppendAdmission, and the
+//    self-locking maintenance calls (Invalidate, PinPatternCounts,
+//    StatsSnapshot, warm-state export/restore) for their own duration.
+//    Lock order is always gate -> mutex(); nothing acquires the gate
+//    while holding mutex().
 //
 //  * Registry eviction drains. MarkEvicted flips queries to a retryable
 //    refusal (api::Session surfaces kUnavailable), Quiesce waits for
@@ -58,20 +61,18 @@
 //    before dropping an entry, so eviction never races a live wave.
 //
 // The service also owns the append story for growing datasets
-// (invalidate-or-patch): AppendRow patches every cached PC set with the
-// new row's restrictions (cheap for the paper's occasional-append
-// regime), while AppendRows invalidates first when the batch is large
-// enough that per-entry patching would cost more than the rescans it
-// saves. Both arms stay exact — the engine tracks appended rows in a
+// (invalidate-or-patch): a committed batch patches every cached PC set
+// with the new rows' restrictions (cheap for the paper's
+// occasional-append regime), or invalidates first when the batch is
+// large enough that per-entry patching would cost more than the rescans
+// it saves. Both arms stay exact — the engine tracks appended rows in a
 // delta block that every subsequent scan includes, and folds the block
 // into columnar base storage once it crosses the compaction threshold
-// (see CountingEngine::CompactDeltas). The self-locking append hooks
-// acquire the gate exclusively, so they also exclude wave-scheduled
-// queries.
+// (see CountingEngine::CompactDeltas).
 //
-//  * Multi-appender group commit (PR 8). String-level appends
-//    (AppendStrings / AppendTable — what api::Session routes through)
-//    intern values centrally in the service's SharedInterner, so *any*
+//  * Multi-appender group commit (PR 8). Appends are string-level
+//    (AppendStrings / AppendTable — what api::Session and
+//    IncrementalLabel route through) and intern values centrally in the service's SharedInterner, so *any*
 //    number of sessions may append concurrently and every sibling
 //    resolves the appended strings on its next admission. Concurrent
 //    appends group-commit: requests queue behind a leader (elected
@@ -167,8 +168,6 @@ struct ResultTierStats {
   int64_t hits = 0;            ///< completed-result cache hits
   int64_t misses = 0;          ///< lookups that became leaders (executed)
   int64_t inflight_joins = 0;  ///< queries parked on a leader's future
-  int64_t bypasses = 0;        ///< in-flight key, caller could not park
-                               ///< (serialized discipline; executed solo)
   int64_t insertions = 0;      ///< results published into the cache
   int64_t evictions = 0;       ///< entries dropped by the byte budget
   int64_t invalidations = 0;   ///< whole-cache clears (append, eviction)
@@ -188,8 +187,6 @@ using QueryResultHandle = std::shared_ptr<const void>;
 ///            (or ResultAbort if the execution threw).
 ///   join   — `join.valid()`: park on it; get() returns the leader's
 ///            result (or rethrows its abort exception).
-/// All three false/invalid: the key is in flight but the caller may not
-/// park (may_join was false) — execute solo, publish nothing.
 struct ResultProbe {
   bool hit = false;
   QueryResultHandle value;
@@ -257,12 +254,6 @@ class CountingService {
 
   std::mutex& mutex() const { return mu_; }
 
-  /// Applies per-search knobs (threads, enabled, cache budget) without
-  /// discarding warm entries; shrinking the budget evicts down to it.
-  void Configure(const CountingEngineOptions& options) {
-    engine_.Reconfigure(options);
-  }
-
   // --- admission gate ----------------------------------------------------
 
   /// Admits a query in shared mode for the guard's lifetime: any number
@@ -284,9 +275,8 @@ class CountingService {
   };
 
   /// Admits an appender exclusively *and* locks mutex(): no query is in
-  /// flight, no wave is executing, and legacy mutex() consumers are
-  /// excluded — the one critical section in which engine data (and an
-  /// api::Session's VC / P_A maintenance state) may grow.
+  /// flight and no wave is executing — the one critical section in
+  /// which engine data may grow.
   class AppendAdmission {
    public:
     explicit AppendAdmission(CountingService& service) : service_(service) {
@@ -342,23 +332,20 @@ class CountingService {
   // *leader* and executes; identical concurrent queries park on a shared
   // future and receive the leader's result. Level 2 (completed cache): a
   // bounded LRU of published results, so identical repeats are O(1).
-  // All calls run under a query admission (gate-shared or mutex()), so
+  // All calls run under a QueryAdmission, so
   // `rows` — the engine's total_rows() at lookup — is pinned for the
   // leader's whole execution and tags each entry against staleness;
   // belt-and-braces, since every append arm clears the cache eagerly
   // while holding the gate exclusively (no query, hence no lookup or
   // publish, is concurrent with an append). results_mu_ is a leaf lock:
-  // nothing is acquired under it, so it may be taken while holding
-  // mutex() (the serialized discipline) or the gate (the scheduled one).
+  // nothing is acquired under it.
 
   /// Probes both levels for `key` and registers this caller as leader on
-  /// a miss. `may_join` must be false for callers holding mutex(): the
-  /// leader's waves need mutex(), so parking such a caller on the
-  /// leader's future would deadlock — they get the execute-solo shape
-  /// instead. `budget_bytes` >= 0 re-budgets the completed cache
-  /// (last writer wins, evicting down immediately); -1 leaves it alone.
+  /// a miss; an identical in-flight key makes this caller a joiner.
+  /// `budget_bytes` >= 0 re-budgets the completed cache (last writer
+  /// wins, evicting down immediately); -1 leaves it alone.
   ResultProbe ResultLookupOrBegin(const QueryResultKey& key, int64_t rows,
-                                  bool may_join, int64_t budget_bytes = -1);
+                                  int64_t budget_bytes = -1);
 
   /// Resolves the leader's key: wakes every parked joiner with `value`
   /// and, when `cache` is set (callers pass status-ok only — a
@@ -391,14 +378,12 @@ class CountingService {
   /// size when a merged sibling asked with a larger budget (still
   /// "> budget", so consumers' within-bound tests are unaffected).
   /// When `counts_out` is non-null it receives each mask's materialized
-  /// PC-set handle (non-null whenever sizes[i] <= budget and the merged
-  /// wave ran with the engine enabled): the caller's memo view for its
-  /// ranking phase. `config` carries the query's engine knobs; a merged
-  /// wave runs under the most capable fold of its requests' configs
-  /// (enabled if any asks, max threads, max cache budget) — every
-  /// answer is exact under any config, so the fold affects cost only.
-  /// Callers hold the gate in shared mode (QueryAdmission), never
-  /// mutex().
+  /// PC-set handle (non-null whenever sizes[i] <= budget): the caller's
+  /// memo view for its ranking phase. `config` carries the query's
+  /// engine knobs; a merged wave runs under the most capable fold of its
+  /// requests' configs (max threads, max cache budget) — every answer is
+  /// exact under any config, so the fold affects cost only. Callers hold
+  /// the gate in shared mode (QueryAdmission), never mutex().
   std::vector<int64_t> WaveCountPatterns(
       const std::vector<AttrMask>& masks, int64_t budget,
       const CountingEngineOptions& config,
@@ -425,6 +410,14 @@ class CountingService {
     return wave_stats_;
   }
 
+  /// The engine's current knobs under mutex(). Service-internal queries
+  /// (IncrementalLabel's seed, the theory sweep) submit their waves with
+  /// these, so they run the service as it is configured.
+  CountingEngineOptions engine_options() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return engine_.options();
+  }
+
   /// Engine stats snapshot under mutex() — the only race-free way to
   /// read them while wave-scheduled queries are in flight.
   CountingEngineStats StatsSnapshot() const {
@@ -432,33 +425,18 @@ class CountingService {
     return engine_.stats();
   }
 
-  // --- appends -----------------------------------------------------------
+  /// The full PC set of `mask`, pinned in the engine's cache (exempt
+  /// from eviction and the budget) — a rollup ancestor for a long subset
+  /// sweep. Self-locks mutex(); call under a QueryAdmission.
+  std::shared_ptr<const GroupCounts> PinPatternCounts(AttrMask mask) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return engine_.PinnedPatternCounts(mask);
+  }
 
-  /// Patch arm of the append hook: the row's restriction is folded into
-  /// every cached PC set and the row joins the engine's delta block.
-  /// `codes` is one row over the full schema (kNullValue = missing; fresh
-  /// values use ids extending the base code space in first-seen order,
-  /// exactly as TableBuilder would assign them). Self-admitting: takes
-  /// the gate exclusively (queries drain first) plus mutex().
-  void AppendRow(const std::vector<ValueId>& codes);
-
-  /// Appends a batch, choosing the arm by cost: small batches patch the
-  /// cache (one pass over the cached entries), large ones invalidate it
-  /// first — rebuilding from scans is then cheaper than per-entry
-  /// patching, and both arms are exact.
-  void AppendRows(const std::vector<std::vector<ValueId>>& rows);
-
-  /// The append hooks for callers that already hold an AppendAdmission
-  /// — e.g. an api::Session, whose append must mutate the engine *and*
-  /// its own VC / P_A maintenance state under one critical section so a
-  /// concurrent search never observes half an append. Same
-  /// invalidate-or-patch semantics as the self-admitting forms.
-  void AppendRowLocked(const std::vector<ValueId>& codes);
-  void AppendRowsLocked(const std::vector<std::vector<ValueId>>& rows);
-
-  // --- string-level appends (shared interning + group commit) ------------
+  // --- appends (shared interning + group commit) -------------------------
   //
-  // The multi-appender surface api::Session routes through. Values are
+  // The one append surface: api::Session and IncrementalLabel route
+  // through it. Values are
   // interned centrally in the service's SharedInterner (codes extend the
   // base code space in committed first-seen order, exactly as a
   // TableBuilder rebuild would assign them), so any number of sessions
@@ -480,16 +458,9 @@ class CountingService {
   /// dictionaries). Same group-commit semantics as AppendStrings.
   Status AppendTable(const Table& delta);
 
-  /// The shared interning surface. Reads require a query admission
-  /// (gate-shared or mutex()) — the gate orders commits before them.
+  /// The shared interning surface. Reads require a QueryAdmission — the
+  /// gate orders commits before them.
   const SharedInterner& interner() const { return interner_; }
-
-  /// Disables (or re-enables) group commit: each request then takes its
-  /// own AppendAdmission and commits solo. The bench's baseline arm;
-  /// results are identical either way.
-  void set_append_group_commit(bool on) {
-    append_group_commit_.store(on, std::memory_order_relaxed);
-  }
 
   /// Test-only fault injection: invoked once per request after its rows
   /// encoded, before anything becomes visible; a non-ok status fails
@@ -503,8 +474,7 @@ class CountingService {
   AppendBatchStats append_stats() const;
 
   /// Drops every cached entry; appended rows (data) survive. Self-locks
-  /// mutex() (Configure, by contrast, runs under the caller's search
-  /// lock). Exactness is cache-independent, so this is safe mid-wave.
+  /// mutex(). Exactness is cache-independent, so this is safe mid-wave.
   void Invalidate() {
     std::lock_guard<std::mutex> lock(mu_);
     engine_.InvalidateCache();
@@ -536,7 +506,8 @@ class CountingService {
 
   /// Snapshots the state worth spilling across a restart: interner
   /// deltas, appended rows, and every cached PC set. Self-locks
-  /// mutex(); safe concurrently with queries (they take the same lock).
+  /// mutex(); safe concurrently with queries (their waves take the same
+  /// lock).
   /// The completed-result tier is deliberately absent — results are
   /// type-erased api objects, and a warm engine cache rebuilds them
   /// without scans.
@@ -558,8 +529,8 @@ class CountingService {
   // coordinator before `done` flips under wave_mu_ (the mutex publishes
   // them). A wave that threw — e.g. bad_alloc while materializing —
   // fails every merged request: each waiter rethrows `error` from
-  // SubmitWave, exactly as the serialized path would have thrown from
-  // the engine call, and the scheduler itself stays unwedged.
+  // SubmitWave, exactly as a solo engine call would have thrown, and the
+  // scheduler itself stays unwedged.
   struct WaveRequest {
     const std::vector<AttrMask>* masks = nullptr;
     int64_t budget = -1;
@@ -591,15 +562,14 @@ class CountingService {
 
   // Blocks until `ticket` committed (or failed); the calling thread
   // volunteers as append leader whenever none is active — mirroring
-  // SubmitWave. With group commit off, commits the ticket solo under
-  // its own AppendAdmission.
+  // SubmitWave.
   Status SubmitAppend(AppendTicket& ticket);
   // One leader stint: acquire the exclusive admission (the merge
   // window), snapshot the queue, commit the batch, publish statuses.
   void RunAppendLeader();
-  // Commits one batch inside the caller's AppendAdmission: interning
-  // guard, per-ticket encode + savepoint rollback, one engine hook, one
-  // interner publication.
+  // Commits one batch inside the caller's AppendAdmission: per-ticket
+  // encode + savepoint rollback, one invalidate-or-patch engine hook,
+  // one interner publication.
   void CommitAppendBatch(const std::vector<AppendTicket*>& batch);
   // Validates + encodes one ticket's rows through the staged interning
   // transaction. Appends to `rows`; on error the caller rolls both back.
@@ -647,7 +617,6 @@ class CountingService {
   // leader releases it before its AppendAdmission and re-locks it only
   // to snapshot / publish), so the order is gate -> mu_ -> append_mu_
   // with append_mu_ a leaf on that path.
-  std::atomic<bool> append_group_commit_{true};
   mutable std::mutex append_mu_;
   std::condition_variable append_cv_;
   std::deque<AppendTicket*> append_queue_;

@@ -47,8 +47,8 @@ class SharedInterner {
 
   /// The code the next commit would allocate for `attr` — the number of
   /// committed values (base dictionary + delta log). Equals the
-  /// engine's EffectiveDomainSize while every append flows through the
-  /// interner; a divergence means a code-level append bypassed it.
+  /// engine's EffectiveDomainSize: every append flows through the
+  /// interner.
   int64_t NextCode(int attr) const;
 
   /// Delta-log length of `attr` (values beyond the base dictionary).

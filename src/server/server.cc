@@ -2,6 +2,7 @@
 
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <utility>
@@ -43,9 +44,6 @@ void Server::Wait() {
 void Server::Stop() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_ && listen_fd_ < 0 && connection_fds_.empty()) {
-      // Already fully stopped.
-    }
     stopping_ = true;
     // Unblock the accept loop and every handler parked in recv.
     if (listen_fd_ >= 0) shutdown(listen_fd_, SHUT_RDWR);
@@ -53,13 +51,13 @@ void Server::Stop() {
   }
   stopped_cv_.notify_all();
   if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> handlers;
+  std::list<Handler> handlers;
   {
     std::lock_guard<std::mutex> lock(handlers_mu_);
     handlers.swap(handlers_);
   }
-  for (std::thread& t : handlers) {
-    if (t.joinable()) t.join();
+  for (Handler& handler : handlers) {
+    if (handler.thread.joinable()) handler.thread.join();
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -83,7 +81,21 @@ void Server::AcceptLoop() {
       connection_fds_.push_back(fd);
     }
     std::lock_guard<std::mutex> lock(handlers_mu_);
-    handlers_.emplace_back([this, fd] { ServeConnection(fd); });
+    // Join the handlers of connections that already closed, so a
+    // long-running server keeps no finished thread (or its stack).
+    for (auto it = handlers_.begin(); it != handlers_.end();) {
+      if (!it->done.load(std::memory_order_acquire)) {
+        ++it;
+        continue;
+      }
+      it->thread.join();
+      it = handlers_.erase(it);
+    }
+    Handler& handler = handlers_.emplace_back();
+    handler.thread = std::thread([this, fd, &handler] {
+      ServeConnection(fd);
+      handler.done.store(true, std::memory_order_release);
+    });
   }
 }
 
@@ -196,8 +208,16 @@ std::string Server::HandleQuery(const std::string& payload) {
     return ErrorReplyPayload(session.status());
   }
 
+  // A client picks its query's thread count, but never above the
+  // server session's own, so remote input does not decide how many
+  // threads the server starts. Answers are byte-identical for any count.
+  api::QuerySpec& spec = request->spec;
+  if (spec.num_threads.has_value()) {
+    spec.num_threads =
+        std::min(*spec.num_threads, (*session)->options().num_threads);
+  }
   const auto started = std::chrono::steady_clock::now();
-  api::QueryResult result = (*session)->Run(request->spec);
+  api::QueryResult result = (*session)->Run(spec);
   const double elapsed_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - started)

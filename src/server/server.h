@@ -2,8 +2,10 @@
 // end over the api::Session stack.
 //
 // One accept-loop thread hands each connection to its own handler
-// thread; a connection is a strict request/response sequence of wire
-// frames (server/wire.h). Every query names a tenant and a catalog
+// thread (joined by the accept loop once its connection closed); a
+// connection is a strict request/response sequence of wire frames
+// (server/wire.h). A query's client-chosen thread count is capped at
+// the pooled session's own. Every query names a tenant and a catalog
 // dataset; the server executes it on a pooled api::Session and ships
 // the full QueryResult back — the label as a PortableLabel, so results
 // are byte-comparable with an in-process session over the same data.
@@ -30,8 +32,10 @@
 #ifndef PCBL_SERVER_SERVER_H_
 #define PCBL_SERVER_SERVER_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -159,9 +163,16 @@ class Server {
   std::unordered_map<std::string, TenantState> tenants_;
   std::vector<int> connection_fds_;
 
+  // One connection's handler thread; `done` flips as its last act, so
+  // the accept loop can join it without waiting on a live connection.
+  struct Handler {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+
   std::thread accept_thread_;
   std::mutex handlers_mu_;
-  std::vector<std::thread> handlers_;
+  std::list<Handler> handlers_;  // node-based: a Handler never moves
 };
 
 }  // namespace server

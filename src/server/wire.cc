@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "util/str.h"
@@ -190,16 +191,20 @@ Result<HelloRequest> DecodeHelloRequest(Reader& in) {
 namespace {
 
 // Presence bits of QuerySpec's optional per-query overrides, in field
-// declaration order. Pinned by the golden-buffer tests.
+// declaration order. Pinned by the golden-buffer tests. Bits 1 and 4
+// carried the engine and scheduler switches of protocol v2; they are
+// retired, not reused.
 enum SpecOptionalBit : uint16_t {
   kBitNumThreads = 1 << 0,
-  kBitUseEngine = 1 << 1,
   kBitCacheBudget = 1 << 2,
   kBitMorselRows = 1 << 3,
-  kBitWaveScheduler = 1 << 4,
   kBitResultCache = 1 << 5,
   kBitResultBudget = 1 << 6,
 };
+
+constexpr uint16_t kKnownSpecBits = kBitNumThreads | kBitCacheBudget |
+                                    kBitMorselRows | kBitResultCache |
+                                    kBitResultBudget;
 
 }  // namespace
 
@@ -220,25 +225,17 @@ void EncodeQuerySpec(const api::QuerySpec& spec, Writer* out) {
   if (spec.label != nullptr) out->Str(ToBinary(*spec.label));
   uint16_t present = 0;
   if (spec.num_threads.has_value()) present |= kBitNumThreads;
-  if (spec.use_counting_engine.has_value()) present |= kBitUseEngine;
   if (spec.counting_cache_budget.has_value()) present |= kBitCacheBudget;
   if (spec.min_rows_per_morsel.has_value()) present |= kBitMorselRows;
-  if (spec.use_wave_scheduler.has_value()) present |= kBitWaveScheduler;
   if (spec.use_result_cache.has_value()) present |= kBitResultCache;
   if (spec.result_cache_budget.has_value()) present |= kBitResultBudget;
   out->U16(present);
   if (spec.num_threads.has_value()) out->I64(*spec.num_threads);
-  if (spec.use_counting_engine.has_value()) {
-    out->U8(*spec.use_counting_engine ? 1 : 0);
-  }
   if (spec.counting_cache_budget.has_value()) {
     out->I64(*spec.counting_cache_budget);
   }
   if (spec.min_rows_per_morsel.has_value()) {
     out->I64(*spec.min_rows_per_morsel);
-  }
-  if (spec.use_wave_scheduler.has_value()) {
-    out->U8(*spec.use_wave_scheduler ? 1 : 0);
   }
   if (spec.use_result_cache.has_value()) {
     out->U8(*spec.use_result_cache ? 1 : 0);
@@ -271,13 +268,22 @@ Result<api::QuerySpec> DecodeQuerySpec(Reader& in) {
     spec.label = std::make_shared<const PortableLabel>(std::move(label));
   }
   const uint16_t present = in.U16();
-  if (present & kBitNumThreads) {
-    spec.num_threads = static_cast<int>(in.I64());
+  if ((present & ~kKnownSpecBits) != 0) {
+    return InvalidArgumentError(
+        StrCat("query spec carries unknown override bits ",
+               present & ~kKnownSpecBits));
   }
-  if (present & kBitUseEngine) spec.use_counting_engine = in.U8() != 0;
+  if (present & kBitNumThreads) {
+    const int64_t threads = in.I64();
+    if (in.ok() &&
+        (threads < 1 || threads > std::numeric_limits<int>::max())) {
+      return InvalidArgumentError(
+          StrCat("num_threads must be in [1, INT_MAX], got ", threads));
+    }
+    spec.num_threads = static_cast<int>(threads);
+  }
   if (present & kBitCacheBudget) spec.counting_cache_budget = in.I64();
   if (present & kBitMorselRows) spec.min_rows_per_morsel = in.I64();
-  if (present & kBitWaveScheduler) spec.use_wave_scheduler = in.U8() != 0;
   if (present & kBitResultCache) spec.use_result_cache = in.U8() != 0;
   if (present & kBitResultBudget) spec.result_cache_budget = in.I64();
   if (!in.ok()) return InvalidArgumentError("malformed query spec");

@@ -49,7 +49,10 @@ inline constexpr uint32_t kMagic = 0x57424350;
 /// v2: registry stats grew the five warm-start spill counters
 /// (spill_hits/misses/rejects, spills, spilled_bytes) — appended to the
 /// kStats registry-stats block, which changes that reply's byte layout.
-inline constexpr uint16_t kProtocolVersion = 2;
+/// v3: the query spec lost its engine and scheduler switches (presence
+/// bits 1 and 4), and a spec with an unknown presence bit or a thread
+/// count outside [1, INT_MAX] is refused instead of misparsed.
+inline constexpr uint16_t kProtocolVersion = 3;
 
 /// Default ceiling on one frame's payload. A decoder never allocates
 /// more than the configured maximum, whatever the length field claims.

@@ -135,20 +135,23 @@ bool ExistsZeroErrorLabel(const ReductionInstance& instance,
   // repeatedly on the same instance (and concurrent sessions may probe
   // the same graph), so the primed universe PC set and every cached
   // subset survive across calls instead of being rebuilt per bound.
+  // Admitted like any query; each subset is sized by its own wave, so
+  // the sweep stops at the first zero-error subset.
   std::shared_ptr<CountingService> service =
       ServiceRegistry::Global().Acquire(table);
-  std::lock_guard<std::mutex> lock(service->mutex());
-  CountingEngine& engine = service->engine();
+  CountingService::QueryAdmission admission(*service);
   const AttrMask universe = AttrMask::All(total_attrs);
-  engine.PinnedPatternCounts(universe);  // pinned: the exponential sweep
-                                         // must not evict its ancestor
+  service->PinPatternCounts(universe);  // pinned: the exponential sweep
+                                        // must not evict its ancestor
+  const CountingEngineOptions config = service->engine_options();
   bool found = false;
   ForEachSubsetOf(universe, [&](AttrMask s) {
     if (found) return;
-    int64_t size = engine.CountPatterns(s, size_bound);
+    std::vector<std::shared_ptr<const GroupCounts>> counts;
+    const int64_t size =
+        service->WaveCountPatterns({s}, size_bound, config, &counts)[0];
     if (size > size_bound) return;
-    Label label =
-        Label::BuildFromCounts(table, s, *engine.PatternCounts(s), vc);
+    const Label label = Label::BuildFromCounts(table, s, *counts[0], vc);
     for (size_t i = 0; i < instance.patterns.size(); ++i) {
       double err = label.AbsoluteError(instance.patterns[i],
                                        instance.pattern_counts[i]);

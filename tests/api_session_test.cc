@@ -87,38 +87,25 @@ void ExpectSameSearchResult(const SearchResult& got,
 // One façade configuration of the conformance grid.
 struct ApiConfig {
   std::string name;
-  bool use_engine = true;
   int num_threads = 1;
-  int64_t cache_budget = -1;  // -1 = default
+  int64_t cache_budget = -1;  // -1 = default, 0 = no memoization
   bool bulk_append = false;   // Append(Table) instead of AppendRow loop
 };
 
 std::vector<ApiConfig> ConformanceConfigs() {
   return {
-      {"engine_serial", true, 1, -1, false},
-      {"engine_threads", true, 3, -1, true},
-      {"engine_budget0", true, 2, 0, false},
-      {"no_engine", false, 1, -1, true},
-      {"no_engine_threads", false, 2, -1, false},
+      {"engine_serial", 1, -1, false},
+      {"engine_threads", 3, -1, true},
+      {"engine_budget0", 2, 0, false},
+      {"budget0_serial", 1, 0, true},
+      {"budget0_threads", 3, 0, false},
   };
 }
 
 SessionOptions ToSessionOptions(const ApiConfig& config) {
   SessionOptions options;
   options.num_threads = config.num_threads;
-  options.use_counting_engine = config.use_engine;
   options.counting_cache_budget = config.cache_budget;
-  return options;
-}
-
-SearchOptions ToSearchOptions(const ApiConfig& config, int64_t bound) {
-  SearchOptions options;
-  options.size_bound = bound;
-  options.num_threads = config.num_threads;
-  options.use_counting_engine = config.use_engine;
-  if (config.cache_budget >= 0) {
-    options.counting_cache_budget = config.cache_budget;
-  }
   return options;
 }
 
@@ -196,7 +183,7 @@ TEST(ApiConformanceTest, AppendThenSearchMatchesFromScratchRebuild) {
                                ToSessionOptions(config));
     // Warm the cache first in some configs so the patch arm is
     // exercised against real entries.
-    if (config.use_engine) {
+    if (config.cache_budget != 0) {
       ASSERT_TRUE(
           session->Run(QuerySpec::LabelSearch(kBound)).status.ok());
     }
@@ -455,8 +442,13 @@ TEST(ApiSessionTest, ValidationRejectsNonsenseCentrally) {
   }
   {
     SessionOptions options;
-    options.use_counting_engine = false;
-    options.counting_cache_budget = 1024;  // conflicting engine flags
+    options.counting_cache_budget = -2;
+    EXPECT_FALSE(Session::Open(PrivateDataset(table), options).ok());
+  }
+  {
+    SessionOptions options;
+    options.use_result_cache = false;
+    options.result_cache_budget = 1024;  // conflicting result-cache flags
     EXPECT_FALSE(Session::Open(PrivateDataset(table), options).ok());
   }
 
@@ -480,9 +472,9 @@ TEST(ApiSessionTest, ValidationRejectsNonsenseCentrally) {
   }
   {
     QuerySpec spec = QuerySpec::LabelSearch(10);
-    spec.use_counting_engine = false;
-    spec.counting_cache_budget = 4096;
-    expect_invalid(std::move(spec), "conflicting engine flags");
+    spec.use_result_cache = false;
+    spec.result_cache_budget = 4096;
+    expect_invalid(std::move(spec), "conflicting result-cache flags");
   }
   {
     QuerySpec spec = QuerySpec::LabelSearch(10);
@@ -623,10 +615,10 @@ TEST(ApiSessionTest, SiblingAppendersOnSharedService) {
 }
 
 // Acceptance criterion: two concurrent sessions over content-equal data
-// perform at most one set of full scans between them — exactly one on
-// the serialized arm; the wave scheduler may even do less (an
-// out-of-phase merged wave can answer a subset by rolling up a
-// concurrently cached superset instead of scanning).
+// perform at most one set of full scans between them — the wave
+// scheduler may even do less (an out-of-phase merged wave can answer a
+// subset by rolling up a concurrently cached superset instead of
+// scanning).
 TEST(ApiSessionTest, ConcurrentSessionsShareOneSetOfFullScans) {
   constexpr int64_t kRows = 2200;
   constexpr uint64_t kSeed = 53;
@@ -642,43 +634,34 @@ TEST(ApiSessionTest, ConcurrentSessionsShareOneSetOfFullScans) {
       cold.counting_service()->stats().full_scans;
   ASSERT_GT(cold_full_scans, 0);
 
-  for (const bool scheduler_on : {true, false}) {
-    // Two sessions, each over its own content-equal table instance,
-    // racing through the process-wide registry.
-    ServiceRegistry::Global().Clear();
-    std::vector<Table> tables;
-    tables.push_back(workload::MakeCompas(kRows, kSeed).value());
-    tables.push_back(workload::MakeCompas(kRows, kSeed).value());
-    auto d1 = Dataset::FromTable(tables[0]);
-    auto d2 = Dataset::FromTable(tables[1]);
-    ASSERT_TRUE(d1.ok() && d2.ok());
-    ASSERT_EQ(d1->service().get(), d2->service().get())
-        << "content-equal datasets must share one registry service";
-    ASSERT_EQ(d1->fingerprint().lo, d2->fingerprint().lo);
+  // Two sessions, each over its own content-equal table instance,
+  // racing through the process-wide registry.
+  ServiceRegistry::Global().Clear();
+  std::vector<Table> tables;
+  tables.push_back(workload::MakeCompas(kRows, kSeed).value());
+  tables.push_back(workload::MakeCompas(kRows, kSeed).value());
+  auto d1 = Dataset::FromTable(tables[0]);
+  auto d2 = Dataset::FromTable(tables[1]);
+  ASSERT_TRUE(d1.ok() && d2.ok());
+  ASSERT_EQ(d1->service().get(), d2->service().get())
+      << "content-equal datasets must share one registry service";
+  ASSERT_EQ(d1->fingerprint().lo, d2->fingerprint().lo);
 
-    SessionOptions options;
-    options.use_wave_scheduler = scheduler_on;
-    auto s1 = OpenSession(*d1, options);
-    auto s2 = OpenSession(*d2, options);
-    auto f1 = s1->Submit(QuerySpec::LabelSearch(kBound));
-    auto f2 = s2->Submit(QuerySpec::LabelSearch(kBound));
-    ASSERT_TRUE(f1.ok() && f2.ok());
-    const QueryResult& r1 = f1->Get();
-    const QueryResult& r2 = f2->Get();
-    ASSERT_TRUE(r1.status.ok() && r2.status.ok());
+  auto s1 = OpenSession(*d1);
+  auto s2 = OpenSession(*d2);
+  auto f1 = s1->Submit(QuerySpec::LabelSearch(kBound));
+  auto f2 = s2->Submit(QuerySpec::LabelSearch(kBound));
+  ASSERT_TRUE(f1.ok() && f2.ok());
+  const QueryResult& r1 = f1->Get();
+  const QueryResult& r2 = f2->Get();
+  ASSERT_TRUE(r1.status.ok() && r2.status.ok());
 
-    const int64_t full_scans = d1->service()->StatsSnapshot().full_scans;
-    if (scheduler_on) {
-      EXPECT_LE(full_scans, cold_full_scans)
-          << "a concurrent session rescanned the table";
-      EXPECT_GT(full_scans, 0);
-    } else {
-      EXPECT_EQ(full_scans, cold_full_scans)
-          << "the second serialized session rescanned the table";
-    }
-    ExpectSameSearchResult(r1.search, cold_result, "session 1");
-    ExpectSameSearchResult(r2.search, cold_result, "session 2");
-  }
+  const int64_t full_scans = d1->service()->StatsSnapshot().full_scans;
+  EXPECT_LE(full_scans, cold_full_scans)
+      << "a concurrent session rescanned the table";
+  EXPECT_GT(full_scans, 0);
+  ExpectSameSearchResult(r1.search, cold_result, "session 1");
+  ExpectSameSearchResult(r2.search, cold_result, "session 2");
   ServiceRegistry::Global().Clear();
 }
 

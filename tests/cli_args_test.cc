@@ -103,20 +103,21 @@ TEST(ArgsTest, LastValueWinsOnRepeat) {
 
 TEST(ArgsTest, CountingEngineFlagsParse) {
   // The engine knobs shared by build/estimate/profile: --threads N,
-  // --cache-budget N (both value flags) and --no-engine (bare boolean),
-  // in the mixed forms users type them.
-  auto args = Args::Parse({"data.csv", "--threads", "8", "--no-engine",
-                           "--cache-budget=1048576"});
+  // --cache-budget N (both value flags) and --no-result-cache (bare
+  // boolean), in the mixed forms users type them.
+  auto args = Args::Parse({"data.csv", "--threads", "8",
+                           "--no-result-cache", "--cache-budget=1048576"});
   ASSERT_TRUE(args.ok());
   auto threads = args->GetInt("threads", 0);
   ASSERT_TRUE(threads.ok());
   EXPECT_EQ(*threads, 8);
-  EXPECT_TRUE(args->GetBool("no-engine"));
+  EXPECT_TRUE(args->GetBool("no-result-cache"));
   auto budget = args->GetInt("cache-budget", -1);
   ASSERT_TRUE(budget.ok());
   EXPECT_EQ(*budget, 1048576);
-  EXPECT_TRUE(args->CheckKnown({"threads", "no-engine", "cache-budget"})
-                  .ok());
+  EXPECT_TRUE(
+      args->CheckKnown({"threads", "no-result-cache", "cache-budget"})
+          .ok());
   ASSERT_EQ(args->positional().size(), 1u);
 }
 
@@ -133,8 +134,8 @@ TEST(ArgsTest, CountingEngineFlagDefaultsAndErrors) {
   // Absent flags keep their defaults.
   auto absent = Args::Parse({});
   ASSERT_TRUE(absent.ok());
-  EXPECT_FALSE(absent->Has("no-engine"));
-  EXPECT_FALSE(absent->GetBool("no-engine"));
+  EXPECT_FALSE(absent->Has("no-result-cache"));
+  EXPECT_FALSE(absent->GetBool("no-result-cache"));
   auto fallback = absent->GetInt("threads", 4);
   ASSERT_TRUE(fallback.ok());
   EXPECT_EQ(*fallback, 4);

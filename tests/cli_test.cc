@@ -196,11 +196,11 @@ TEST_F(CliPipelineTest, EstimateWithDataReportsTrueCountAndError) {
   EXPECT_TRUE(Contains(run.out, "estimate:  3.00")) << run.out;
   EXPECT_TRUE(Contains(run.out, "actual:    3")) << run.out;
   EXPECT_TRUE(Contains(run.out, "abs error: 0.00")) << run.out;
-  // --no-engine takes the one-shot path and must agree.
+  // The no-memoization setting must agree.
   CliRun serial = RunTool({"estimate", *label_path_, "--pattern",
                        "gender=Female, age group=20-39,"
                        " marital status=married",
-                       "--data", *csv_path_, "--no-engine"});
+                       "--data", *csv_path_, "--cache-budget", "0"});
   ASSERT_EQ(serial.code, 0) << serial.err;
   EXPECT_TRUE(Contains(serial.out, "actual:    3")) << serial.out;
 }
@@ -211,7 +211,7 @@ TEST_F(CliPipelineTest, EstimateEngineFlagsRequireData) {
                 .code,
             2);
   EXPECT_EQ(RunTool({"estimate", *label_path_, "--pattern", "gender=Female",
-                 "--no-engine"})
+                 "--no-result-cache"})
                 .code,
             2);
   EXPECT_EQ(RunTool({"estimate", *label_path_, "--pattern", "gender=Female",
@@ -228,9 +228,9 @@ TEST_F(CliPipelineTest, ProfilePairsListsPairwiseLabelSizes) {
   // Fig. 2: the {age group, marital status} pair has the smallest |P_S|
   // (3), which is why the paper's example label uses it.
   EXPECT_TRUE(Contains(run.out, "age group x marital status")) << run.out;
-  // Engine off must agree on the listing.
+  // The no-memoization setting must agree on the listing.
   CliRun serial =
-      RunTool({"profile", *csv_path_, "--pairs", "3", "--no-engine"});
+      RunTool({"profile", *csv_path_, "--pairs", "3", "--cache-budget", "0"});
   ASSERT_EQ(serial.code, 0) << serial.err;
   EXPECT_TRUE(Contains(serial.out, "age group x marital status"))
       << serial.out;
@@ -238,7 +238,7 @@ TEST_F(CliPipelineTest, ProfilePairsListsPairwiseLabelSizes) {
 
 TEST_F(CliPipelineTest, ProfileEngineFlagsRequirePairs) {
   EXPECT_EQ(RunTool({"profile", *csv_path_, "--threads", "2"}).code, 2);
-  EXPECT_EQ(RunTool({"profile", *csv_path_, "--no-engine"}).code, 2);
+  EXPECT_EQ(RunTool({"profile", *csv_path_, "--no-result-cache"}).code, 2);
   EXPECT_EQ(RunTool({"profile", *csv_path_, "--cache-budget", "9"}).code, 2);
   EXPECT_EQ(
       RunTool({"profile", *csv_path_, "--service-budget", "1000"}).code, 2);

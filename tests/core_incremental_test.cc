@@ -217,8 +217,9 @@ TEST(IncrementalLabelTest, GrowthThresholdTriggersRebuild) {
 TEST(IncrementalLabelTest, ServiceBackedAppendsSurviveTheDifferentialGrid) {
   // An incremental session attached to the dataset's counting service:
   // the appends it forwards must leave the *service* byte-identical to a
-  // rebuilt table in every configuration — engine on/off, warm/cold
-  // cache, patch/invalidate arm, delta block or compacted base. The
+  // rebuilt table in every configuration — zero or default cache
+  // budget, warm/cold cache, patch/invalidate arm, delta block or
+  // compacted base. The
   // harness also cross-checks the label's own PC footprint per config.
   testing::DifferentialHarness harness(testing::RandomWorkload(
       /*seed=*/31, /*attrs=*/4, /*base_rows=*/180, /*append_rows=*/45,

@@ -7,6 +7,7 @@
 #include "pattern/packed_codec.h"
 #include "util/logging.h"
 #include "util/rng.h"
+#include "util/str.h"
 
 namespace pcbl {
 namespace testing {
@@ -63,7 +64,7 @@ DifferentialWorkload RandomWorkload(uint64_t seed, int attrs,
   Rng rng(seed);
   DifferentialWorkload workload;
   for (int a = 0; a < attrs; ++a) {
-    workload.attribute_names.push_back("a" + std::to_string(a));
+    workload.attribute_names.push_back(StrCat("a", a));
   }
   auto make_rows = [&](int64_t count, int dom) {
     std::vector<std::vector<std::string>> rows;
@@ -73,8 +74,8 @@ DifferentialWorkload RandomWorkload(uint64_t seed, int attrs,
         if (rng.UniformInt(100) < static_cast<uint32_t>(null_percent)) {
           row.push_back("");
         } else {
-          row.push_back("v" + std::to_string(rng.UniformInt(
-                                  static_cast<uint32_t>(dom))));
+          row.push_back(
+              StrCat("v", rng.UniformInt(static_cast<uint32_t>(dom))));
         }
       }
       rows.push_back(std::move(row));
@@ -123,14 +124,14 @@ std::vector<DifferentialConfig> StandardConfigs() {
   }
   {
     DifferentialConfig c;
-    c.name = "engine-off-delta";
-    c.engine_enabled = false;
+    c.name = "budget0-delta";
+    c.cache_budget = 0;
     configs.push_back(c);
   }
   {
     DifferentialConfig c;
-    c.name = "engine-off-compacted";
-    c.engine_enabled = false;
+    c.name = "budget0-compacted";
+    c.cache_budget = 0;
     c.compact_after_appends = true;
     c.bulk_append = true;
     configs.push_back(c);
@@ -199,7 +200,6 @@ std::shared_ptr<CountingService> DifferentialHarness::Run(
     const DifferentialConfig& config) const {
   const std::string context = "config " + config.name;
   CountingEngineOptions options;
-  options.enabled = config.engine_enabled;
   options.num_threads = config.num_threads;
   options.cache_budget = config.cache_budget;
   options.delta_compact_threshold = config.compact_threshold;
@@ -214,14 +214,19 @@ std::shared_ptr<CountingService> DifferentialHarness::Run(
 
   if (!workload_.append_rows.empty()) {
     // Appends flow through IncrementalLabel — the production write path:
-    // it interns fresh values into the shared code space and notifies
-    // the service's invalidate-or-patch hook.
+    // it commits every row through the service's string-level group
+    // commit (central interning, invalidate-or-patch hook).
     auto label = IncrementalLabel::Create(
         base_, AttrMask::FromIndices({0, 1}), int64_t{1} << 20, service);
     if (!label.ok()) {
       ADD_FAILURE() << context << ": " << label.status().ToString();
       return service;
     }
+    // The label's seed runs as a query wave; it must leave the
+    // service's engine knobs as this configuration set them.
+    const CountingEngineOptions after_seed = service->engine_options();
+    EXPECT_EQ(after_seed.cache_budget, options.cache_budget) << context;
+    EXPECT_EQ(after_seed.num_threads, options.num_threads) << context;
     if (config.invalidate_before_appends) service->Invalidate();
     if (config.bulk_append) {
       Table delta =

@@ -9,7 +9,7 @@
 // labels silently drift from the data they describe (the CM-sketch
 // baselines show what silent divergence looks like). The harness drives
 // the same base+append workload through a grid of configurations —
-// engine on/off, warm/cold cache, patch/invalidate arm, row-at-a-time vs
+// memoizing or zero cache budget, warm/cold cache, patch/invalidate arm, row-at-a-time vs
 // bulk appends, delta block vs compacted base — and asserts every
 // answer against the one-shot counters over a from-scratch rebuild of
 // the extended table, across every forced RestrictionStrategy.
@@ -49,8 +49,8 @@ DifferentialWorkload RandomWorkload(uint64_t seed, int attrs,
 /// One configuration of the counting stack under test.
 struct DifferentialConfig {
   std::string name;
-  bool engine_enabled = true;
   int num_threads = 1;
+  /// Engine memoization budget; 0 = no memoization.
   int64_t cache_budget = int64_t{1} << 20;
   /// Auto-compaction threshold while appending (<= 0 = never).
   int64_t compact_threshold = 0;
@@ -61,13 +61,13 @@ struct DifferentialConfig {
   /// Prime every subset's PC set before the appends (exercises the
   /// patch arm on a full cache; otherwise the cache starts cold).
   bool warm_cache_first = false;
-  /// Append through one bulk AppendRows call instead of row-at-a-time
+  /// Append through one bulk AppendTable call instead of row-at-a-time
   /// AppendRow calls (exercises the invalidate-or-patch cost pivot).
   bool bulk_append = false;
 };
 
-/// The standard grid: engine on/off × warm/cold × delta/compacted ×
-/// single/bulk appends.
+/// The standard grid: memoizing/zero cache budget × warm/cold ×
+/// delta/compacted × single/bulk appends.
 std::vector<DifferentialConfig> StandardConfigs();
 
 /// Byte-identity assertion between two GroupCounts (attrs, group count,
@@ -88,7 +88,7 @@ class DifferentialHarness {
 
   /// Runs one configuration: builds a CountingService over base(),
   /// optionally warms it, replays the appends through the service's
-  /// invalidate-or-patch hook, optionally compacts, then asserts that
+  /// group-commit append path, optionally compacts, then asserts that
   /// every attribute subset's PC set, |P_S| (budgeted and exact) and
   /// combo count are byte-identical to the one-shot counters over
   /// reference() — which are themselves cross-checked across every

@@ -12,8 +12,7 @@
 //  * delta compaction mid-stream under concurrent string appends;
 //  * transactional failure: a fault-injected or schema-mismatched
 //    ticket leaves no trace — no rows, no interned values, siblings in
-//    the same batch unaffected;
-//  * the solo (group-commit off) arm, same differential contract.
+//    the same batch unaffected.
 //
 // The whole file must be TSan- and ASan-clean (see .github/workflows).
 #include <atomic>
@@ -194,15 +193,13 @@ struct GridConfig {
   int appenders;
   int searchers;
   int64_t rows_per_appender;
-  bool bulk;          // one AppendRows ticket vs an AppendRow loop
-  bool group_commit;  // off = solo commits (the reference arm)
+  bool bulk;  // one AppendRows ticket vs an AppendRow loop
 };
 
 void RunGrid(const GridConfig& config) {
   const std::string context =
       StrCat(config.appenders, "x", config.searchers,
-             config.bulk ? "/bulk" : "/rows",
-             config.group_commit ? "" : "/solo");
+             config.bulk ? "/bulk" : "/rows");
   const int kAttrs = 4;
   const std::vector<std::string> names = AttributeNames(kAttrs);
   std::vector<std::vector<std::string>> base_rows = BaseRows(200, kAttrs);
@@ -210,7 +207,6 @@ void RunGrid(const GridConfig& config) {
   options.private_service = true;
   auto dataset = Dataset::FromTable(BuildTable(names, base_rows), options);
   ASSERT_TRUE(dataset.ok()) << dataset.status();
-  dataset->service()->set_append_group_commit(config.group_commit);
 
   std::vector<std::unique_ptr<Session>> sessions;
   for (int i = 0; i < config.appenders + config.searchers; ++i) {
@@ -268,9 +264,6 @@ void RunGrid(const GridConfig& config) {
       << context;
   EXPECT_EQ(stats.failed_requests, 0) << context;
   EXPECT_EQ(stats.pending, 0) << context;
-  if (!config.group_commit) {
-    EXPECT_EQ(stats.batches, stats.requests) << context;
-  }
 
   // Every session — appender or searcher — agrees with the rebuild.
   for (size_t i = 0; i < sessions.size(); ++i) {
@@ -283,16 +276,10 @@ TEST(MultiAppenderTest, AppenderSearcherGridMatchesRebuild) {
   for (int appenders : {1, 2, 4}) {
     for (int searchers : {1, 4}) {
       for (bool bulk : {false, true}) {
-        RunGrid({appenders, searchers, /*rows_per_appender=*/24, bulk,
-                 /*group_commit=*/true});
+        RunGrid({appenders, searchers, /*rows_per_appender=*/24, bulk});
       }
     }
   }
-}
-
-TEST(MultiAppenderTest, SoloCommitArmMatchesRebuild) {
-  RunGrid({/*appenders=*/2, /*searchers=*/1, /*rows_per_appender=*/24,
-           /*bulk=*/false, /*group_commit=*/false});
 }
 
 // Concurrent requests parked behind a held query admission must commit

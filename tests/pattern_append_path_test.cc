@@ -1,7 +1,7 @@
 // Tests for the fully general append path: the sort-fallback delta
 // route for subsets whose nullable key space overflows 64 bits, delta
 // compaction into the engine-owned columnar base, appends against a
-// disabled engine, and compaction firing in the middle of a sizing
+// zero cache budget, and compaction firing in the middle of a sizing
 // sweep — all byte-identical to a from-scratch rebuild under the
 // differential harness.
 #include <memory>
@@ -51,7 +51,7 @@ TEST(AppendPathTest, NonEncodableSubsetsExistInTheWorkload) {
 
 TEST(AppendPathTest, SortFallbackDeltaMatchesRebuildAcrossConfigs) {
   // The full standard grid on the non-encodable workload: every config
-  // (warm patch, bulk invalidate, compacted, engine-off, tiny cache)
+  // (warm patch, bulk invalidate, compacted, zero budget, tiny cache)
   // must agree with the rebuilt reference on *every* subset, including
   // the sort-fallback ones. NULL-bearing appends and fresh values are
   // part of the workload.
@@ -77,17 +77,17 @@ TEST(AppendPathTest, NullOnlyAppendsStayExact) {
   harness.CheckAll();
 }
 
-TEST(AppendPathTest, DisabledEngineAcceptsAppendsAndStaysExact) {
-  // PR 2 rejected ApplyAppend on a disabled engine; now the delegate
-  // becomes the engine's own delta-aware scan.
+TEST(AppendPathTest, ZeroBudgetEngineAcceptsAppendsAndStaysExact) {
+  // The no-memoization setting: every answer comes from the engine's
+  // delta-aware scans, none from a cached entry.
   DifferentialWorkload workload =
       RandomWorkload(13, /*attrs=*/4, /*base_rows=*/250, /*append_rows=*/40,
                      /*domain=*/6, /*append_domain=*/8,
                      /*null_percent=*/10);
   DifferentialHarness harness(std::move(workload));
   DifferentialConfig config;
-  config.name = "disabled-appends";
-  config.engine_enabled = false;
+  config.name = "budget0-appends";
+  config.cache_budget = 0;
   auto service = harness.Run(config);
   // Nothing was cached along the way: reference behaviour.
   EXPECT_EQ(service->stats().cached_groups, 0);

@@ -13,6 +13,7 @@
 #include "pattern/counter.h"
 #include "pattern/lattice.h"
 #include "util/rng.h"
+#include "util/str.h"
 #include "workload/datasets.h"
 
 namespace pcbl {
@@ -25,14 +26,14 @@ Table RandomTable(uint64_t seed, int null_percent) {
   const int attrs = 3 + static_cast<int>(rng.UniformInt(4));
   const int64_t rows = 100 + static_cast<int64_t>(rng.UniformInt(400));
   std::vector<std::string> names;
-  for (int a = 0; a < attrs; ++a) names.push_back("a" + std::to_string(a));
+  for (int a = 0; a < attrs; ++a) names.push_back(StrCat("a", a));
   auto b = TableBuilder::Create(names);
   PCBL_CHECK(b.ok());
   std::vector<ValueId> domains(static_cast<size_t>(attrs));
   for (int a = 0; a < attrs; ++a) {
     domains[static_cast<size_t>(a)] = 2 + rng.UniformInt(5);
     for (ValueId v = 0; v < domains[static_cast<size_t>(a)]; ++v) {
-      b->InternValue(a, "v" + std::to_string(v));
+      b->InternValue(a, StrCat("v", v));
     }
   }
   const uint32_t correlated = rng.UniformInt(70);
@@ -245,10 +246,12 @@ TEST(CountingEngineTest, PinnedAncestorSurvivesEvictionPressure) {
       << "a subset lost its rollup ancestor and rescanned the table";
 }
 
-TEST(CountingEngineTest, DisabledEngineDelegates) {
+TEST(CountingEngineTest, ZeroBudgetMatchesOneShotCounters) {
+  // The no-memoization setting: every answer is computed afresh and
+  // equals the one-shot counters; nothing is ever cached or hit.
   Table t = RandomTable(7, /*null_percent=*/10);
   CountingEngineOptions options;
-  options.enabled = false;
+  options.cache_budget = 0;
   CountingEngine engine(t, options);
   ForEachSubsetOf(AttrMask::All(t.num_attributes()), [&](AttrMask s) {
     EXPECT_EQ(engine.CountPatterns(s), CountDistinctPatterns(t, s));
@@ -256,7 +259,9 @@ TEST(CountingEngineTest, DisabledEngineDelegates) {
     ExpectSameGroupCounts(*engine.PatternCounts(s),
                           ComputePatternCounts(t, s), s);
   });
-  EXPECT_EQ(engine.stats().sizings, 0);
+  EXPECT_EQ(engine.stats().cached_groups, 0);
+  EXPECT_EQ(engine.stats().cache_hits, 0);
+  EXPECT_EQ(engine.stats().rollups, 0);
 }
 
 TEST(CountingEngineTest, WideDomainsUseSortFallbackAndStayExact) {
@@ -291,20 +296,57 @@ TEST(CountingEngineTest, WideDomainsUseSortFallbackAndStayExact) {
   }
 }
 
-TEST(CountingEngineTest, SearchResultsIdenticalWithEngineOnAndOff) {
+TEST(CountingEngineTest, SearchResultsMatchRebuildAcrossEngineConfigs) {
   for (uint64_t seed : {11u, 22u, 33u}) {
     Table t = RandomTable(seed, /*null_percent=*/10);
     LabelSearch search(t);
     SearchOptions on;
     on.size_bound = 40;
-    SearchOptions off = on;
-    off.use_counting_engine = false;
+    on.record_candidates = true;
     SearchOptions on_parallel = on;
     on_parallel.num_threads = 4;
     SearchOptions on_no_cache = on;
     on_no_cache.counting_cache_budget = 0;
+    // The reference: a fresh search over a rebuilt table, whose sizing
+    // decisions and label are pinned to the one-shot counters.
+    const Table rebuilt = RandomTable(seed, /*null_percent=*/10);
+    const int n = rebuilt.num_attributes();
+    // The naive search's candidates are every within-bound subset of
+    // each level, stopping after the first level with none.
+    std::vector<AttrMask> naive_cands;
+    for (int level = 2; level <= n; ++level) {
+      bool any = false;
+      ForEachSubsetOfSize(n, level, [&](AttrMask s) {
+        if (CountDistinctPatterns(rebuilt, s, on.size_bound) <=
+            on.size_bound) {
+          naive_cands.push_back(s);
+          any = true;
+        }
+      });
+      if (!any) break;
+    }
+    ASSERT_FALSE(naive_cands.empty());
     for (auto algo : {&LabelSearch::Naive, &LabelSearch::TopDown}) {
-      const SearchResult want = (search.*algo)(off);
+      LabelSearch fresh(rebuilt);
+      const SearchResult want = (fresh.*algo)(on);
+      ExpectSameGroupCounts(want.label.pattern_counts(),
+                            ComputePatternCounts(rebuilt, want.best_attrs),
+                            want.best_attrs);
+      for (const CandidateInfo& c : want.candidates) {
+        EXPECT_EQ(c.label_size,
+                  ComputePatternCounts(rebuilt, c.attrs).num_groups())
+            << c.attrs.ToString();
+        EXPECT_LE(CountDistinctPatterns(rebuilt, c.attrs, on.size_bound),
+                  on.size_bound)
+            << c.attrs.ToString();
+      }
+      if (algo == &LabelSearch::Naive) {
+        std::vector<AttrMask> got_cands;
+        for (const CandidateInfo& c : want.candidates) {
+          got_cands.push_back(c.attrs);
+        }
+        EXPECT_EQ(got_cands, naive_cands);
+      }
       for (const SearchOptions& options :
            {on, on_parallel, on_no_cache}) {
         const SearchResult got = (search.*algo)(options);
@@ -313,6 +355,14 @@ TEST(CountingEngineTest, SearchResultsIdenticalWithEngineOnAndOff) {
         EXPECT_DOUBLE_EQ(got.error.max_abs, want.error.max_abs);
         EXPECT_EQ(got.stats.subsets_examined, want.stats.subsets_examined);
         EXPECT_EQ(got.stats.within_bound, want.stats.within_bound);
+        ASSERT_EQ(got.candidates.size(), want.candidates.size());
+        for (size_t i = 0; i < got.candidates.size(); ++i) {
+          EXPECT_EQ(got.candidates[i].attrs, want.candidates[i].attrs);
+          EXPECT_EQ(got.candidates[i].label_size,
+                    want.candidates[i].label_size);
+          EXPECT_DOUBLE_EQ(got.candidates[i].max_error,
+                           want.candidates[i].max_error);
+        }
       }
     }
   }

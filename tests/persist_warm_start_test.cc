@@ -1,7 +1,7 @@
 // Differential battery for warm-start restore (src/persist/,
 // docs/PERSISTENCE.md): a registry that restores a spilled warm state
 // must be indistinguishable — byte-for-byte in every count — from the
-// service that exported it, across engine on/off, thread counts, and
+// service that exported it, across cache budgets, thread counts, and
 // post-restore appends; the first search over a restored service must
 // perform zero full-table scans; a diverged (appended-to) state must
 // round-trip at the service level but be refused by the registry's
@@ -114,11 +114,11 @@ TEST(WarmStartTest, DifferentialGridAcrossEngineThreadsAndAppends) {
     ASSERT_EQ(registry.SpillResident(), 1);
   }
 
-  for (const bool engine : {true, false}) {
+  for (const bool memoize : {true, false}) {
     for (const int threads : {1, 3}) {
       for (const bool append : {false, true}) {
         const std::string name =
-            std::string("engine=") + (engine ? "on" : "off") +
+            std::string("memoize=") + (memoize ? "on" : "off") +
             " threads=" + std::to_string(threads) +
             " append=" + (append ? "yes" : "no");
         SCOPED_TRACE(name);
@@ -131,7 +131,7 @@ TEST(WarmStartTest, DifferentialGridAcrossEngineThreadsAndAppends) {
         // private search under the same configuration.
         SearchOptions options;
         options.size_bound = 50;
-        options.use_counting_engine = engine;
+        if (!memoize) options.counting_cache_budget = 0;
         options.num_threads = threads;
         LabelSearch cold(base);
         const SearchResult want = cold.TopDown(options);

@@ -5,6 +5,7 @@
 
 #include "relation/dictionary.h"
 #include "relation/schema.h"
+#include "util/str.h"
 
 namespace pcbl {
 namespace {
@@ -46,7 +47,7 @@ TEST(SchemaTest, RejectsDuplicates) {
 
 TEST(SchemaTest, RejectsTooManyAttributes) {
   std::vector<std::string> names;
-  for (int i = 0; i < 65; ++i) names.push_back("a" + std::to_string(i));
+  for (int i = 0; i < 65; ++i) names.push_back(StrCat("a", i));
   EXPECT_FALSE(Schema::Create(names).ok());
 }
 

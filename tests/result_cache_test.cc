@@ -1,8 +1,9 @@
 // Tests for the two-level query-result tier (PR 6, DESIGN.md §5.7):
 //
 //  * the differential arm — cache on/off × 1..8 concurrent sessions,
-//    every label byte-identical to a solo cache-disabled reference, with
-//    the tier's hit/miss/join accounting consistent on the cached arm;
+//    every label byte-identical to a solo search over a rebuilt table,
+//    with the tier's hit/miss/join accounting consistent on the cached
+//    arm;
 //  * deterministic in-flight dedup — K identical queries wedged behind a
 //    held engine mutex must produce exactly one leader, K-1 parked
 //    joiners, and no more engine work than one cold solo search;
@@ -13,8 +14,6 @@
 //    LRU-first, keeps answers exact, and accounts the bytes;
 //  * dedup-only mode — budget 0 parks concurrent identicals but caches
 //    no completed results;
-//  * the serialized arm — sessions holding the whole-service lock never
-//    park on a leader (deadlock-free by construction), they bypass;
 //  * true-count and profile queries ride the tier like searches do.
 #include <algorithm>
 #include <memory>
@@ -79,17 +78,17 @@ void ExpectSameSearchResult(const SearchResult& got,
 }
 
 // The differential arm: cache on/off × 1..8 concurrent sessions, every
-// label byte-identical to the solo cache-disabled reference. On the
+// label byte-identical to a solo search over a rebuilt table. On the
 // cached arm each tier visit is exactly one of hit / join / miss, and a
 // repeat query after completion is a pure cache hit (zero extra scans).
-TEST(ResultCacheTest, CacheGridMatchesDisabledReferenceAcrossSessions) {
+TEST(ResultCacheTest, CacheGridMatchesRebuildAcrossSessions) {
   constexpr int64_t kBound = 60;
   Table table = workload::MakeCompas(1600, 101).value();
 
+  const Table rebuilt = workload::MakeCompas(1600, 101).value();
   SearchOptions reference_options;
   reference_options.size_bound = kBound;
-  reference_options.use_wave_scheduler = false;
-  LabelSearch reference(table);
+  LabelSearch reference(rebuilt);
   const SearchResult want = reference.TopDown(reference_options);
 
   for (const bool cache_on : {true, false}) {
@@ -161,10 +160,10 @@ TEST(ResultCacheTest, ConcurrentIdenticalQueriesShareOneExecution) {
   constexpr int kQueries = 4;
   Table table = workload::MakeCompas(1200, 103).value();
 
+  const Table rebuilt = workload::MakeCompas(1200, 103).value();
   SearchOptions reference_options;
   reference_options.size_bound = kBound;
-  reference_options.use_wave_scheduler = false;
-  LabelSearch reference(table);
+  LabelSearch reference(rebuilt);
   const SearchResult want = reference.TopDown(reference_options);
   const int64_t cold_full_scans =
       reference.counting_service()->stats().full_scans;
@@ -202,8 +201,7 @@ TEST(ResultCacheTest, ConcurrentIdenticalQueriesShareOneExecution) {
   EXPECT_EQ(stats.inflight_joins, kQueries - 1);
   EXPECT_EQ(stats.hits, 0);
   // K identical queries, at most one execution's worth of engine work
-  // (the single scheduled run may even roll up below the serialized
-  // solo count).
+  // (the single run may even roll up below the cold solo count).
   EXPECT_GT(dataset.service()->StatsSnapshot().full_scans, 0);
   EXPECT_LE(dataset.service()->StatsSnapshot().full_scans,
             cold_full_scans);
@@ -223,7 +221,6 @@ TEST(ResultCacheTest, AppendInvalidatesBeforeAnyStaleReadCanHappen) {
 
   SearchOptions base_options;
   base_options.size_bound = kBound;
-  base_options.use_wave_scheduler = false;
   LabelSearch base_search(harness.base());
   const SearchResult base_want = base_search.TopDown(base_options);
   LabelSearch extended_search(harness.reference());
@@ -335,35 +332,6 @@ TEST(ResultCacheTest, ZeroBudgetDedupsButCachesNothing) {
   EXPECT_EQ(stats.insertions, 0);
   EXPECT_EQ(stats.entries, 0);
   EXPECT_EQ(stats.bytes, 0);
-}
-
-// The serialized arm holds the whole-service lock for the query's
-// duration, so parking on another query's future could deadlock — those
-// queries must never join; they lead, hit, or bypass.
-TEST(ResultCacheTest, SerializedQueriesNeverParkOnALeader)  {
-  Table table = workload::MakeCompas(800, 113).value();
-  Dataset dataset = PrivateDataset(table);
-  SessionOptions options;
-  options.num_threads = 1;
-  options.use_wave_scheduler = false;
-
-  constexpr int kSessions = 4;
-  std::vector<std::unique_ptr<Session>> sessions;
-  std::vector<QueryFuture> futures;
-  for (int i = 0; i < kSessions; ++i) {
-    sessions.push_back(OpenSession(dataset, options));
-    auto future = sessions.back()->Submit(QuerySpec::LabelSearch(45));
-    ASSERT_TRUE(future.ok()) << future.status();
-    futures.push_back(*future);
-  }
-  for (int i = 0; i < kSessions; ++i) {
-    const QueryResult& r = futures[static_cast<size_t>(i)].Get();
-    ASSERT_TRUE(r.status.ok()) << r.status;
-  }
-
-  const ResultTierStats stats = dataset.service()->result_tier_stats();
-  EXPECT_EQ(stats.inflight_joins, 0);
-  EXPECT_EQ(stats.hits + stats.misses + stats.bypasses, kSessions);
 }
 
 // True counts and profiles ride the tier exactly like searches.

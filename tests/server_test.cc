@@ -14,7 +14,11 @@
 //  * admission-level errors (unknown dataset, register conflicts) and
 //    the corrupt/oversized-frame rejection path end-to-end;
 //  * clients registering multi-MiB CSVs at once get the serial reader's
-//    tables, and the server starts no parse threads for them.
+//    tables, and the server starts no parse threads for them;
+//  * a client asking for 64 query threads gets at most the server
+//    session's own thread count, with byte-identical answers;
+//  * finished connection handlers are joined as new connections
+//    arrive, so connect/close churn does not grow the address space.
 #include "server/server.h"
 
 #include <sys/socket.h>
@@ -42,6 +46,7 @@
 #include "server/socket_io.h"
 #include "server/wire.h"
 #include "util/str.h"
+#include "util/thread_pool.h"
 #include "workload/datasets.h"
 
 namespace pcbl {
@@ -294,13 +299,20 @@ TEST(ServerTest, RegisterConflictsAndIdempotence) {
   server.Stop();
 }
 
-// Threads of this process (Linux), or -1 when that cannot be read.
-int ProcessThreads() {
+// A numeric field of /proc/self/status (Linux) — "Threads:" or
+// "VmSize:" (kB) — or -1 when that cannot be read.
+int64_t ProcessStatus(const std::string& field) {
   std::ifstream status("/proc/self/status");
   for (std::string line; std::getline(status, line);) {
-    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+    if (line.rfind(field, 0) == 0) {
+      return std::stoll(line.substr(field.size()));
+    }
   }
   return -1;
+}
+
+int ProcessThreads() {
+  return static_cast<int>(ProcessStatus("Threads:"));
 }
 
 TEST(ServerTest, ConcurrentRegistrationsParseOnTheirConnectionThreads) {
@@ -357,6 +369,81 @@ TEST(ServerTest, ConcurrentRegistrationsParseOnTheirConnectionThreads) {
   }
   if (before > 0) {
     EXPECT_LE(most.load(), before + kClients + 1);
+  }
+  server.Stop();
+}
+
+TEST(ServerTest, ClientThreadCountIsCappedAtTheSessionsOwn) {
+  // A query asks for 64 threads over a small dataset; the server runs it
+  // with at most its session's resolved thread count (all hardware
+  // threads by default) and answers exactly as the in-process session.
+  Table table = workload::MakeCompas(2000, 37).value();
+  Catalog catalog(PrivateOptions());
+  ASSERT_TRUE(catalog.Add("compas", PrivateDataset(table)).ok());
+  const Dataset dataset = *catalog.Lookup("compas");
+  Server server(&catalog, ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  Client client = MustConnect(server.bound_address());
+  ASSERT_TRUE(client.Hello("t").ok());
+
+  std::vector<QuerySpec> specs = {QuerySpec::LabelSearch(60),
+                                  QuerySpec::Profile()};
+  for (QuerySpec& spec : specs) {
+    spec.use_result_cache = false;  // every query runs its own waves
+  }
+  std::vector<std::string> want;
+  for (const QuerySpec& spec : specs) {
+    want.push_back(InProcessBytes(dataset, spec));
+  }
+
+  // Running from here on: the handler, the sampler, and the pooled
+  // session's executor thread.
+  const int before = ProcessThreads();
+  std::atomic<bool> done{false};
+  std::atomic<int> most{before};
+  std::thread sampler([&] {
+    while (!done.load()) {
+      most.store(std::max(most.load(), ProcessThreads()));
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+  for (size_t i = 0; i < specs.size(); ++i) {
+    QuerySpec greedy = specs[i];
+    greedy.num_threads = 64;
+    auto result = client.Query("t", "compas", greedy);
+    ASSERT_TRUE(result.ok()) << result.status();
+    ASSERT_TRUE(result->status.ok()) << result->status;
+    EXPECT_EQ(CanonicalBytes(*result), want[i]) << "spec " << i;
+  }
+  done.store(true);
+  sampler.join();
+  if (before > 0) {
+    EXPECT_LE(most.load(), before + 2 + DefaultThreadCount());
+  }
+  server.Stop();
+}
+
+TEST(ServerTest, FinishedConnectionHandlersAreReaped) {
+  // Sequential connect / Hello / close cycles: each cycle's handler has
+  // finished by the time a later connection arrives and is joined then,
+  // so the finished handlers' thread stacks do not pile up.
+  Catalog catalog(PrivateOptions());
+  Server server(&catalog, ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  auto cycle = [&] {
+    Client client = MustConnect(server.bound_address());
+    ASSERT_TRUE(client.Hello("t").ok());
+  };
+  for (int i = 0; i < 20; ++i) cycle();
+  const int64_t settled_kb = ProcessStatus("VmSize:");
+  for (int i = 0; i < 300; ++i) cycle();
+  const int64_t after_kb = ProcessStatus("VmSize:");
+  if (settled_kb > 0) {
+    // Unreaped, 300 handler stacks (8 MiB each by default) would add
+    // about 2.4 GB; reaped, at most the last few handlers remain.
+    EXPECT_LE(after_kb - settled_kb, int64_t{64} << 10)
+        << "VmSize grew from " << settled_kb << " kB to " << after_kb
+        << " kB";
   }
   server.Stop();
 }

@@ -2,7 +2,7 @@
 //
 //  * round-trip identity for every QuerySpec kind and field — focus
 //    masks, pattern terms, the consumer-side PortableLabel, and all
-//    seven per-query overrides;
+//    five per-query overrides;
 //  * byte stability against pinned golden buffers — the encoding is a
 //    contract, a silent change breaks deployed clients;
 //  * QueryResult round trips for all three kinds (search with
@@ -12,11 +12,14 @@
 //  * the bounded-read decoder: corrupt magic, wrong version, unknown
 //    type, an oversized length field (rejected before any allocation —
 //    the PR 1 corrupted-length fix, applied to the socket), truncated
-//    payloads, trailing bytes, and hostile string lengths all decode to
-//    kInvalidArgument, never to a crash or an attacker-sized buffer.
+//    payloads, trailing bytes, hostile string lengths, unknown override
+//    presence bits and out-of-range thread counts all decode to
+//    kInvalidArgument, never to a crash, a misparse or an
+//    attacker-sized buffer.
 #include "server/wire.h"
 
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -33,16 +36,16 @@ namespace {
 using api::QuerySpec;
 
 // --- golden buffers ---------------------------------------------------------
-// Pinned bytes of the v1 encoding. Extending the protocol means a new
+// Pinned bytes of the v3 encoding. Extending the protocol means a new
 // version or appended fields, never a change to these buffers.
 
 constexpr char kGoldenSearchSpec[] =
     "\x00\x01\x40\x00\x00\x00\x00\x00\x00\x00\x03\x00"
     "\x00\x00\x00\x00\x00\xf8\x3f\x01\x0b\x00\x00\x00"
-    "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x7f\x00\x03"
-    "\x00\x00\x00\x00\x00\x00\x00\x01\x00\x10\x00\x00"
-    "\x00\x00\x00\x00\x00\x08\x00\x00\x00\x00\x00\x00"
-    "\x00\x01\x00\x00\x10\x00\x00\x00\x00\x00";
+    "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x6d\x00\x03"
+    "\x00\x00\x00\x00\x00\x00\x00\x00\x10\x00\x00\x00"
+    "\x00\x00\x00\x00\x08\x00\x00\x00\x00\x00\x00\x01"
+    "\x00\x00\x10\x00\x00\x00\x00\x00";
 
 constexpr char kGoldenTrueCountSpec[] =
     "\x01\x00\x64\x00\x00\x00\x00\x00\x00\x00\x00\x00"
@@ -59,7 +62,7 @@ constexpr char kGoldenProfileSpec[] =
     "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00";
 
 constexpr char kGoldenQueryFrame[] =
-    "\x50\x43\x42\x57\x02\x00\x02\x00\x03\x00\x00\x00"
+    "\x50\x43\x42\x57\x03\x00\x02\x00\x03\x00\x00\x00"
     "\x61\x62\x63";
 
 QuerySpec FullSearchSpec() {
@@ -70,10 +73,8 @@ QuerySpec FullSearchSpec() {
   spec.record_candidates = true;
   spec.focus = AttrMask(uint64_t{0b1011});
   spec.num_threads = 3;
-  spec.use_counting_engine = true;
   spec.counting_cache_budget = 4096;
   spec.min_rows_per_morsel = 2048;
-  spec.use_wave_scheduler = false;
   spec.use_result_cache = true;
   spec.result_cache_budget = 1 << 20;
   return spec;
@@ -116,10 +117,8 @@ TEST(WireSpecTest, SearchSpecRoundTripsEveryField) {
   EXPECT_EQ(got.record_candidates, spec.record_candidates);
   EXPECT_EQ(got.focus.bits(), spec.focus.bits());
   EXPECT_EQ(got.num_threads, spec.num_threads);
-  EXPECT_EQ(got.use_counting_engine, spec.use_counting_engine);
   EXPECT_EQ(got.counting_cache_budget, spec.counting_cache_budget);
   EXPECT_EQ(got.min_rows_per_morsel, spec.min_rows_per_morsel);
-  EXPECT_EQ(got.use_wave_scheduler, spec.use_wave_scheduler);
   EXPECT_EQ(got.use_result_cache, spec.use_result_cache);
   EXPECT_EQ(got.result_cache_budget, spec.result_cache_budget);
 }
@@ -127,10 +126,8 @@ TEST(WireSpecTest, SearchSpecRoundTripsEveryField) {
 TEST(WireSpecTest, UnsetOverridesStayUnset) {
   const QuerySpec got = RoundTripSpec(QuerySpec::LabelSearch(100));
   EXPECT_FALSE(got.num_threads.has_value());
-  EXPECT_FALSE(got.use_counting_engine.has_value());
   EXPECT_FALSE(got.counting_cache_budget.has_value());
   EXPECT_FALSE(got.min_rows_per_morsel.has_value());
-  EXPECT_FALSE(got.use_wave_scheduler.has_value());
   EXPECT_FALSE(got.use_result_cache.has_value());
   EXPECT_FALSE(got.result_cache_budget.has_value());
   EXPECT_EQ(got.label, nullptr);
@@ -193,6 +190,54 @@ TEST(WireSpecTest, UnknownEnumValuesAreRejected) {
   wire::Reader in2(bytes);
   EXPECT_EQ(wire::DecodeQuerySpec(in2).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// Every presence bit outside the five known overrides is refused: the
+// retired v2 bits 1 (engine switch) and 4 (scheduler switch) — each
+// with the one-byte value a v2 encoder wrote after it — and the never
+// assigned bits 7-15, which v2 silently ignored.
+TEST(WireSpecTest, UnknownPresenceBitsAreRejected) {
+  const std::string profile = EncodeSpec(QuerySpec::Profile());
+  ASSERT_EQ(profile.substr(profile.size() - 2), std::string("\0\0", 2));
+  for (int bit : {1, 4, 7, 8, 11, 15}) {
+    std::string bytes = profile;
+    const uint16_t present = static_cast<uint16_t>(1u << bit);
+    bytes[bytes.size() - 2] = static_cast<char>(present & 0xff);
+    bytes[bytes.size() - 1] = static_cast<char>(present >> 8);
+    if (bit == 1 || bit == 4) bytes.push_back('\x01');
+    wire::Reader in(bytes);
+    EXPECT_EQ(wire::DecodeQuerySpec(in).status().code(),
+              StatusCode::kInvalidArgument)
+        << "bit " << bit;
+  }
+}
+
+// num_threads travels as an i64 but lands in an int: anything outside
+// [1, INT_MAX] is refused, never truncated (2^32 + 1 must not arrive as
+// 1).
+TEST(WireSpecTest, NumThreadsOutsideIntRangeIsRejected) {
+  QuerySpec spec = QuerySpec::Profile();
+  spec.num_threads = 1;
+  const std::string encoded = EncodeSpec(spec);
+  auto with_threads = [&](int64_t threads) {
+    std::string bytes = encoded;
+    std::memcpy(bytes.data() + bytes.size() - 8, &threads, 8);
+    wire::Reader in(bytes);
+    return wire::DecodeQuerySpec(in);
+  };
+  for (int64_t threads : {(int64_t{1} << 32) + 1, int64_t{0}, int64_t{-1},
+                          int64_t{std::numeric_limits<int>::max()} + 1,
+                          std::numeric_limits<int64_t>::min()}) {
+    EXPECT_EQ(with_threads(threads).status().code(),
+              StatusCode::kInvalidArgument)
+        << threads;
+  }
+  for (int64_t threads : {int64_t{1}, int64_t{64},
+                          int64_t{std::numeric_limits<int>::max()}}) {
+    auto decoded = with_threads(threads);
+    ASSERT_TRUE(decoded.ok()) << threads << ": " << decoded.status();
+    EXPECT_EQ(decoded->num_threads, threads);
+  }
 }
 
 // --- frames -----------------------------------------------------------------

@@ -233,9 +233,11 @@ TEST(ServiceRegistryTest, AppendedDataCountsTowardResidentBytes) {
   const int64_t before = registry.ResidentBytes();
   const int n = t.num_attributes();
   {
-    std::vector<ValueId> row(static_cast<size_t>(n), 0);
-    std::vector<std::vector<ValueId>> rows(16, row);
-    service->AppendRows(rows);
+    // Every cell is the attribute's first base value: nothing new to
+    // intern, 16 rows of delta block.
+    std::vector<std::string> row;
+    for (int a = 0; a < n; ++a) row.push_back(t.dictionary(a).GetString(0));
+    ASSERT_TRUE(service->AppendStrings(std::vector(16, row)).ok());
   }
   const int64_t with_delta = registry.ResidentBytes();
   EXPECT_EQ(with_delta - before,
@@ -356,19 +358,21 @@ TEST(ServiceRegistryTest, StressSharedAcquireWithAppendsAndTrims) {
   Table reader_table = workload::MakeCompas(1200, 51).value();
 
   ServiceRegistry registry;
-  // Appended codes are precomputed against the base dictionaries (the
-  // appender thread must not race anyone through a dictionary).
-  std::vector<std::vector<ValueId>> append_codes;
+  // The appended rows as strings, read back from the rebuilt reference.
+  std::vector<std::vector<std::string>> append_rows;
   {
     const Table& reference = harness.reference();
     const int n = reference.num_attributes();
     for (int64_t r = harness.base().num_rows(); r < reference.num_rows();
          ++r) {
-      std::vector<ValueId> row(static_cast<size_t>(n));
+      std::vector<std::string> row(static_cast<size_t>(n));
       for (int a = 0; a < n; ++a) {
-        row[static_cast<size_t>(a)] = reference.value(r, a);
+        const ValueId v = reference.value(r, a);
+        if (!IsNull(v)) {
+          row[static_cast<size_t>(a)] = reference.dictionary(a).GetString(v);
+        }
       }
-      append_codes.push_back(std::move(row));
+      append_rows.push_back(std::move(row));
     }
   }
 
@@ -423,9 +427,11 @@ TEST(ServiceRegistryTest, StressSharedAcquireWithAppendsAndTrims) {
     while (started.load() < kThreads + 2) {
     }
     for (int b = 0; b < kAppendBatches; ++b) {
-      append_service->AppendRows(
-          {append_codes[static_cast<size_t>(2 * b)],
-           append_codes[static_cast<size_t>(2 * b + 1)]});
+      EXPECT_TRUE(append_service
+                      ->AppendStrings(
+                          {append_rows[static_cast<size_t>(2 * b)],
+                           append_rows[static_cast<size_t>(2 * b + 1)]})
+                      .ok());
     }
   });
   // Trimmer: flip the budget so evictions race the acquires. The
